@@ -29,27 +29,6 @@ __all__ = [
     "circuit_from_text",
 ]
 
-# kind -> (number of wires, number of params); None = variable wires (multi-control)
-_KINDS: dict[str, tuple[int | None, int]] = {
-    "RX": (1, 1),
-    "RY": (1, 1),
-    "RZ": (1, 1),
-    "H": (1, 0),
-    "X": (1, 0),
-    "APHASE": (1, 1),
-    "CNOT": (2, 0),
-    "SWAP": (2, 0),
-    "XX": (2, 1),
-    "CPHASE": (2, 1),
-    "CRK": (2, 1),
-    "CRX": (2, 1),
-    "TOFFOLI": (3, 0),
-    "MCX": (None, 0),
-    "MCRX": (None, 1),
-    "GPHASE": (0, 1),
-}
-
-
 @dataclass(frozen=True)
 class Gate:
     """One gate: kind, wires in listed order (controls first), real parameters.
@@ -64,12 +43,12 @@ class Gate:
     polarities: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _GATES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         object.__setattr__(self, "polarities", tuple(int(b) for b in self.polarities))
-        n_wires, n_params = _KINDS[self.kind]
+        n_wires, n_params, _ = _GATES[self.kind]
         if n_wires is None:
             if len(self.qubits) < 2:
                 raise ValueError(f"{self.kind} needs at least one control and a target")
@@ -155,7 +134,7 @@ def _cphase(phi: float) -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)])
 
 
-def _crk(k: int) -> np.ndarray:
+def _crk(k: float) -> np.ndarray:
     return _cphase(2.0 * np.pi / 2.0**k)
 
 
@@ -181,6 +160,29 @@ def _multicontrol(polarities: tuple[int, ...], core: np.ndarray) -> np.ndarray:
     return u
 
 
+# kind -> (wires, params, matrix). None wires = any number of controls before
+# the target, and the matrix is then the target block. A matrix is an array
+# or a builder taking the gate's one parameter; GPHASE is applied by _run.
+_GATES: dict[str, tuple[int | None, int, object]] = {
+    "RX": (1, 1, _rx),
+    "RY": (1, 1, _ry),
+    "RZ": (1, 1, _rz),
+    "H": (1, 0, _H),
+    "X": (1, 0, _X),
+    "APHASE": (1, 1, _aphase),
+    "CNOT": (2, 0, _CNOT),
+    "SWAP": (2, 0, _SWAP),
+    "XX": (2, 1, _xx),
+    "CPHASE": (2, 1, _cphase),
+    "CRK": (2, 1, _crk),
+    "CRX": (2, 1, _crx),
+    "TOFFOLI": (3, 0, _TOFFOLI),
+    "MCX": (None, 0, _X),
+    "MCRX": (None, 1, _rx),
+    "GPHASE": (0, 1, None),
+}
+
+
 def gate_conventions() -> dict[str, object]:
     """Defining matrices (index order down=0, up=1); single source of truth.
 
@@ -188,58 +190,22 @@ def gate_conventions() -> dict[str, object]:
     exp(-i theta sigma_a / 2) with Z = diag(-1, +1); A_eps = diag(1, e^{-i eps});
     T_k = diag(1, e^{i 2 pi / 2^k}); XX(chi) = exp(+i chi X@X).
     """
-    return {
-        "X": _X.copy(),
+    out: dict[str, object] = {
         "Y": np.array([[0, 1j], [-1j, 0]], dtype=complex),
         "Z": np.diag([-1.0 + 0j, 1.0 + 0j]),
-        "H": _H.copy(),
-        "RX": _rx,
-        "RY": _ry,
-        "RZ": _rz,
-        "APHASE": _aphase,
         "T": lambda k: np.diag([1.0, np.exp(2j * np.pi / 2.0**k)]),
-        "CNOT": _CNOT.copy(),
-        "SWAP": _SWAP.copy(),
-        "TOFFOLI": _TOFFOLI.copy(),
-        "CRK": _crk,
-        "CPHASE": _cphase,
-        "XX": _xx,
-        "CRX": _crx,
     }
+    for kind, (n_wires, _, mat) in _GATES.items():
+        if n_wires:  # multi-controls and GPHASE have no fixed-size matrix
+            out[kind] = mat.copy() if isinstance(mat, np.ndarray) else mat
+    return out
 
 
 def _gate_matrix(g: Gate) -> np.ndarray:
-    if g.kind == "RX":
-        return _rx(g.params[0])
-    if g.kind == "RY":
-        return _ry(g.params[0])
-    if g.kind == "RZ":
-        return _rz(g.params[0])
-    if g.kind == "H":
-        return _H
-    if g.kind == "X":
-        return _X
-    if g.kind == "APHASE":
-        return _aphase(g.params[0])
-    if g.kind == "CNOT":
-        return _CNOT
-    if g.kind == "SWAP":
-        return _SWAP
-    if g.kind == "TOFFOLI":
-        return _TOFFOLI
-    if g.kind == "CRK":
-        return _crk(int(g.params[0]))
-    if g.kind == "CPHASE":
-        return _cphase(g.params[0])
-    if g.kind == "XX":
-        return _xx(g.params[0])
-    if g.kind == "CRX":
-        return _crx(g.params[0])
-    if g.kind == "MCX":
-        return _multicontrol(g.polarities, _X)
-    if g.kind == "MCRX":
-        return _multicontrol(g.polarities, _rx(g.params[0]))
-    raise ValueError(f"no matrix for gate kind {g.kind!r}")
+    n_wires, _, mat = _GATES[g.kind]
+    if callable(mat):
+        mat = mat(*g.params)
+    return mat if n_wires is not None else _multicontrol(g.polarities, mat)
 
 
 def _run(c: Circuit, block: np.ndarray) -> np.ndarray:

@@ -25,7 +25,14 @@ from .circuit import (
     unitary,
 )
 from .decode import StaticQubitHamiltonian, matrix_to_walk, static_to_walk
-from .encode import EncodingSpec, encode_binary, encode_single_excitation, gray_labels
+from .encode import (
+    EncodingSpec,
+    _binary_labels,
+    _gray_node_labels,
+    _index_labels,
+    encode_binary,
+    encode_single_excitation,
+)
 from .gatelib import (
     decompose_cnot,
     decompose_controlled_rk,
@@ -35,7 +42,7 @@ from .gatelib import (
     expand_multicontrol,
 )
 from .pauli import hamiltonian_from_text, hamiltonian_to_text, to_matrix
-from .sim import basis_state, evolve_walk, unitary_distance
+from .sim import basis_state, evolve_walk, exact_propagator, unitary_distance
 from .spinchain import (
     XYChain,
     collapse_defect,
@@ -48,7 +55,6 @@ from .synth import (
     TrotterPlan,
     build_qft_circuit,
     circuit_to_pulses,
-    exact_propagator,
     pulses_to_csv,
     qft_reference,
     synth_line_walk_step,
@@ -107,33 +113,21 @@ def _cmd_encode(args) -> int:
     if args.scheme == "single":
         h = encode_single_excitation(g)
     else:
-        labels = None
-        if args.labeling == "gray":
-            m = g.n_nodes.bit_length() - 1
-            if 2**m != g.n_nodes:
-                raise ValueError("gray labeling needs a power-of-two node count")
-            labels = gray_labels(m)
-        elif args.labeling == "index":
-            m = max(1, (g.n_nodes - 1).bit_length())
-            labels = tuple(format(j, f"0{m}b") for j in range(g.n_nodes))
-        h = encode_binary(g, EncodingSpec("binary", labels) if labels else None)
+        labeling = {"gray": _gray_node_labels, "index": _index_labels}.get(args.labeling)
+        h = encode_binary(g, EncodingSpec("binary", labeling(g.n_nodes)) if labeling else None)
     _emit(hamiltonian_to_text(h), args.out)
     return 0
 
 
 def _load_static(path: str) -> StaticQubitHamiltonian:
     raw = json.loads(Path(path).read_text())
-    fields = {"n", "eps", "delta", "chi", "vperp", "vpar"}
-    if set(raw) != fields:
+    fields = ("n", "eps", "delta", "chi", "vperp", "vpar")
+    if not isinstance(raw, dict) or set(raw) != set(fields):
         raise ValueError(f"static parameter file must have exactly the fields {sorted(fields)}")
-    return StaticQubitHamiltonian(
-        raw["n"],
-        np.asarray(raw["eps"], dtype=float),
-        np.asarray(raw["delta"], dtype=float),
-        np.asarray(raw["chi"], dtype=float),
-        np.asarray(raw["vperp"], dtype=float),
-        np.asarray(raw["vpar"], dtype=float),
-    )
+    try:
+        return StaticQubitHamiltonian(*(raw[f] for f in fields))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed static parameter file: {exc}") from None
 
 
 def _cmd_decode(args) -> int:
@@ -222,12 +216,7 @@ def _encode_deviation(g: WalkGraph, scheme: str) -> float:
     h = encode_binary(g)
     mat = to_matrix(h)
     m = h.m_qubits
-    if g.labels is not None:
-        labels = g.labels
-    else:
-        width = max(1, (g.n_nodes - 1).bit_length())
-        labels = tuple(format(j, f"0{width}b") for j in range(g.n_nodes))
-    idx = [int(s, 2) for s in labels]
+    idx = [int(s, 2) for s in _binary_labels(g)]
     got = mat[np.ix_(idx, idx)]
     dev = float(np.max(np.abs(got - target)))
     rest = np.ones(1 << m, dtype=bool)

@@ -14,6 +14,7 @@ import numpy as np
 
 from ._config import check_qubit_count
 from .circuit import Gate
+from .encode import _index_labels
 from .pauli import PauliHamiltonian, PauliString, to_matrix
 from .walkgraph import WalkGraph
 
@@ -54,11 +55,15 @@ class StaticQubitHamiltonian:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
         for name in ("chi", "vperp", "vpar"):
             m = np.asarray(getattr(self, name), dtype=float)
             if m.shape != (n, n):
                 raise ValueError(f"{name} must have shape ({n}, {n})")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} must be finite")
             if np.any(np.diag(m) != 0.0):
                 raise ValueError(f"{name} diagonal must be zero")
             if name != "chi" and np.max(np.abs(m - m.T)) > 0.0:
@@ -133,8 +138,7 @@ def static_to_walk(h: StaticQubitHamiltonian) -> WalkGraph:
                 w = h.vperp[a, b]
                 if abs(w) > _EDGE_TOL:
                     edges.append((j, i, float(w)))
-    labels = tuple(format(j, f"0{n}b") for j in range(dim))
-    return WalkGraph(dim, tuple(edges), tuple(float(e) for e in onsite), labels)
+    return WalkGraph(dim, tuple(edges), tuple(float(e) for e in onsite), _index_labels(dim))
 
 
 def matrix_to_walk(h: PauliHamiltonian) -> WalkGraph:
@@ -154,9 +158,8 @@ def matrix_to_walk(h: PauliHamiltonian) -> WalkGraph:
         for i in range(j + 1, dim):
             if abs(real[j, i]) > _EDGE_TOL * scale:
                 edges.append((j, i, float(-real[j, i])))
-    labels = tuple(format(j, f"0{h.m_qubits}b") for j in range(dim))
     onsite = tuple(float(real[j, j]) for j in range(dim))
-    return WalkGraph(dim, tuple(edges), onsite, labels)
+    return WalkGraph(dim, tuple(edges), onsite, _index_labels(dim))
 
 
 @dataclass(frozen=True)

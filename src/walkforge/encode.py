@@ -60,8 +60,25 @@ def _check_labels(labels: tuple[str, ...], n_nodes: int) -> int:
 
 
 def _index_labels(n_nodes: int) -> tuple[str, ...]:
+    """Binary expansions of 0..n_nodes-1, on at least one bit."""
     m = max(1, (n_nodes - 1).bit_length())
     return tuple(format(j, f"0{m}b") for j in range(n_nodes))
+
+
+def _gray_node_labels(n_nodes: int) -> tuple[str, ...]:
+    m = n_nodes.bit_length() - 1
+    if 2**m != n_nodes:
+        raise ValueError("gray labeling needs a power-of-two node count")
+    return gray_labels(m)
+
+
+def _binary_labels(g: WalkGraph, spec: EncodingSpec | None = None) -> tuple[str, ...]:
+    """Node labels of the binary scheme: the spec's, else the graph's, else the index labels."""
+    if spec is not None and spec.labels is not None:
+        return spec.labels
+    if g.labels is not None:
+        return g.labels
+    return _index_labels(g.n_nodes)
 
 
 def encode_single_excitation(g: WalkGraph) -> PauliHamiltonian:
@@ -92,12 +109,7 @@ def encode_binary(g: WalkGraph, spec: EncodingSpec | None = None) -> PauliHamilt
     """
     if spec is not None and spec.scheme != "binary":
         raise ValueError("encode_binary needs a binary-scheme spec")
-    if spec is not None and spec.labels is not None:
-        labels = spec.labels
-    elif g.labels is not None:
-        labels = g.labels
-    else:
-        labels = _index_labels(g.n_nodes)
+    labels = _binary_labels(g, spec)
     m = _check_labels(labels, g.n_nodes)
     terms: list[tuple[complex, PauliString]] = []
     for j, eps in enumerate(g.onsite):

@@ -8,6 +8,7 @@ tau^+- = (X +- iY)/2, P_up = (I+Z)/2, P_down = (I-Z)/2.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 
@@ -99,6 +100,8 @@ class PauliHamiltonian:
             if string.m_qubits != self.m_qubits:
                 raise ValueError("term size does not match hamiltonian size")
             merged[string.letters] = merged.get(string.letters, 0j) + complex(coeff) * string.phase
+        if not all(map(cmath.isfinite, merged.values())):
+            raise ValueError("pauli coefficients must be finite")
         canon = tuple(
             (c, PauliString(self.m_qubits, letters))
             for letters, c in sorted(merged.items())
@@ -241,6 +244,8 @@ def hamiltonian_from_text(text: str) -> PauliHamiltonian:
             letter, qubit = token[0], int(token[1:])
             if letter not in "XYZ" or not (1 <= qubit <= m):
                 raise ValueError(f"malformed pauli token: {token!r}")
+            if letters[qubit - 1] != "I":
+                raise ValueError(f"qubit {qubit} appears twice in pauli term {ln!r}")
             letters[qubit - 1] = letter
         terms.append((coeff, PauliString(m, "".join(letters))))
     return PauliHamiltonian(m, tuple(terms))

@@ -9,12 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import max_qubits
 from .walkgraph import WalkGraph, walk_matrix
 
 __all__ = [
     "StateVector",
     "basis_state",
     "evolve_walk",
+    "exact_propagator",
     "fidelity",
     "unitary_distance",
 ]
@@ -51,11 +53,14 @@ def basis_state(dim: int, index: int) -> StateVector:
     return StateVector(amps)
 
 
-def _expm_herm(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via exact eigendecomposition."""
+def exact_propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) by exact eigendecomposition; the oracle all tests compare to."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
+    cap = 1 << max_qubits()
+    if h.shape[0] > cap:
+        raise ValueError(f"matrix dimension {h.shape[0]} above the dense cap {cap}")
     if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
         raise ValueError("matrix is not hermitian")
     vals, vecs = np.linalg.eigh(h)
@@ -67,7 +72,7 @@ def evolve_walk(g: WalkGraph, psi: StateVector, t: float) -> StateVector:
     h = walk_matrix(g)
     if psi.dim != g.n_nodes:
         raise ValueError("state dimension does not match the node count")
-    return StateVector(_expm_herm(h, t) @ psi.amps)
+    return StateVector(exact_propagator(h, t) @ psi.amps)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

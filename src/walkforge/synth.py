@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import max_qubits
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, gate_conventions
 from .encode import encode_binary, line_qubit_hamiltonian
 from .gatelib import (
     FundamentalPulse,
@@ -29,7 +28,7 @@ from .gatelib import (
     expand_multicontrol,
 )
 from .pauli import PauliHamiltonian, PauliString, to_matrix
-from .sim import _expm_herm
+from .sim import exact_propagator
 from .walkgraph import WalkGraph
 
 __all__ = [
@@ -86,17 +85,6 @@ class Schedule:
             raise ValueError("schedule has no segments")
         if any(d <= 0 for d, _ in self.segments):
             raise ValueError("segment durations must be positive")
-
-
-def exact_propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) by exact eigendecomposition; the oracle all tests compare to."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("matrix must be square")
-    cap = 1 << max_qubits()
-    if h.shape[0] > cap:
-        raise ValueError(f"matrix dimension {h.shape[0]} above the dense cap {cap}")
-    return _expm_herm(h, t)
 
 
 def _term_sort_key(item: tuple[complex, PauliString]) -> tuple:
@@ -302,14 +290,67 @@ def synth_line_walk_step(
     return Circuit(n_qubits, n_anc, tuple(gates))
 
 
-_REMAP_SAFE = {"RX", "RY", "RZ", "H", "X", "APHASE", "CNOT", "XX", "GPHASE"}
-
-
-def _remap(gates: tuple[Gate, ...], wires: dict[int, int]) -> list[Gate]:
+def _placed(template: Circuit, g: Gate) -> list[Gate]:
+    """A decomposition on wires 1..k, moved onto the wires of g."""
     return [
-        Gate(g.kind, tuple(wires[q] for q in g.qubits), g.params, g.polarities)
-        for g in gates
+        Gate(t.kind, tuple(g.qubits[q - 1] for q in t.qubits), t.params, t.polarities)
+        for t in template.gates
     ]
+
+
+_H_ALPHA, _H_THETA, _H_GAMMA, _H_XI = euler_decompose(gate_conventions()["H"])
+
+# kind -> rule(gate, n_wires) giving the gates that replace it. Multi-controls
+# expand onto fresh ancillas beyond the circuit's n_wires, shared by all of them.
+_LOWERING = {
+    "MCX": lambda g, w: expand_multicontrol(g, w).gates,
+    "MCRX": lambda g, w: expand_multicontrol(g, w).gates,
+    "TOFFOLI": lambda g, w: _placed(decompose_toffoli(), g),
+    "CRX": lambda g, w: _placed(decompose_controlled_rx(g.params[0] / 2.0), g),
+    "SWAP": lambda g, w: _placed(decompose_swap(), g),
+    "CRK": lambda g, w: _placed(decompose_controlled_rk(int(g.params[0])), g),
+    "CPHASE": lambda g, w: _placed(decompose_cphase(g.params[0]), g),
+    "CNOT": lambda g, w: _placed(decompose_cnot(), g),
+    "H": lambda g, w: [
+        Gate("RZ", g.qubits, (_H_XI,)),
+        Gate("RX", g.qubits, (_H_GAMMA,)),
+        Gate("RZ", g.qubits, (_H_THETA,)),
+        Gate("GPHASE", (), (_H_ALPHA,)),
+    ],
+    "RY": lambda g, w: [
+        Gate("RZ", g.qubits, (-_PI / 2,)),
+        Gate("RX", g.qubits, g.params),
+        Gate("RZ", g.qubits, (_PI / 2,)),
+    ],
+    "X": lambda g, w: [Gate("RX", g.qubits, (_PI,)), Gate("GPHASE", (), (_PI / 2,))],
+    "APHASE": lambda g, w: [
+        Gate("RZ", g.qubits, g.params),
+        Gate("GPHASE", (), (-g.params[0] / 2.0,)),
+    ],
+}
+
+_BASIC = frozenset({"RX", "RY", "RZ", "H", "X", "APHASE", "CNOT", "XX", "GPHASE"})
+_FUNDAMENTAL = frozenset({"RX", "RZ", "XX", "GPHASE"})
+
+
+def _lower(c: Circuit, target: frozenset[str]) -> Circuit:
+    """Apply the lowering rules until every gate kind is in target.
+
+    Wires the rewritten gates reach beyond c.n_wires are new ancillas.
+    """
+    base = c.n_wires
+    out: list[Gate] = []
+
+    def emit(gates) -> None:
+        for g in gates:
+            if g.kind in target:
+                out.append(g)
+            else:
+                emit(_LOWERING[g.kind](g, base))
+
+    emit(c.gates)
+    top = max((q for g in out for q in g.qubits), default=base)
+    return Circuit(c.n_qubits, c.n_ancillas + max(0, top - base), tuple(out))
 
 
 def expand_to_basic(c: Circuit) -> Circuit:
@@ -319,72 +360,12 @@ def expand_to_basic(c: Circuit) -> Circuit:
     beyond the existing wires), then Toffoli, controlled-RX, SWAP, CRK and
     CPHASE are replaced by their decompositions.
     """
-    base = c.n_wires
-    staged: list[Gate] = []
-    extra = 0
-    for g in c.gates:
-        if g.kind in ("MCX", "MCRX"):
-            sub = expand_multicontrol(g, base)
-            staged.extend(sub.gates)
-            extra = max(extra, sub.n_ancillas)
-        else:
-            staged.append(g)
-    out: list[Gate] = []
-    for g in staged:
-        if g.kind in _REMAP_SAFE:
-            out.append(g)
-        elif g.kind == "TOFFOLI":
-            wires = dict(zip((1, 2, 3), g.qubits))
-            out.extend(_remap(decompose_toffoli().gates, wires))
-        elif g.kind == "CRX":
-            wires = dict(zip((1, 2), g.qubits))
-            out.extend(_remap(decompose_controlled_rx(g.params[0] / 2.0).gates, wires))
-        elif g.kind == "SWAP":
-            wires = dict(zip((1, 2), g.qubits))
-            out.extend(_remap(decompose_swap().gates, wires))
-        elif g.kind == "CRK":
-            wires = dict(zip((1, 2), g.qubits))
-            out.extend(_remap(decompose_controlled_rk(int(g.params[0])).gates, wires))
-        elif g.kind == "CPHASE":
-            wires = dict(zip((1, 2), g.qubits))
-            out.extend(_remap(decompose_cphase(g.params[0]).gates, wires))
-        else:
-            raise ValueError(f"cannot lower gate kind {g.kind!r}")
-    return Circuit(c.n_qubits, c.n_ancillas + extra, tuple(out))
+    return _lower(c, _BASIC)
 
 
 def to_fundamental(c: Circuit) -> Circuit:
     """Rewrite a circuit over the fundamental set {RX, RZ, XX} plus GPHASE."""
-    basic = expand_to_basic(c)
-    out: list[Gate] = []
-    for g in basic.gates:
-        if g.kind in ("RX", "RZ", "XX", "GPHASE"):
-            out.append(g)
-        elif g.kind == "RY":
-            q = g.qubits
-            out += [Gate("RZ", q, (-_PI / 2,)), Gate("RX", q, g.params), Gate("RZ", q, (_PI / 2,))]
-        elif g.kind == "X":
-            out += [Gate("RX", g.qubits, (_PI,)), Gate("GPHASE", (), (_PI / 2,))]
-        elif g.kind == "APHASE":
-            eps = g.params[0]
-            out += [Gate("RZ", g.qubits, (eps,)), Gate("GPHASE", (), (-eps / 2.0,))]
-        elif g.kind == "H":
-            alpha, theta, gamma, xi = euler_decompose(
-                np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-            )
-            q = g.qubits
-            out += [
-                Gate("RZ", q, (xi,)),
-                Gate("RX", q, (gamma,)),
-                Gate("RZ", q, (theta,)),
-                Gate("GPHASE", (), (alpha,)),
-            ]
-        elif g.kind == "CNOT":
-            wires = dict(zip((1, 2), g.qubits))
-            out.extend(_remap(decompose_cnot().gates, wires))
-        else:
-            raise ValueError(f"cannot lower gate kind {g.kind!r}")
-    return Circuit(basic.n_qubits, basic.n_ancillas, tuple(out))
+    return _lower(c, _FUNDAMENTAL)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ dimensionless and evolution is exp(-iHt).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,11 @@ class WalkGraph:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add((a, b))
             canon.append((a, b, float(delta)))
+        onsite = tuple(float(e) for e in self.onsite)
+        if not all(map(math.isfinite, [d for _, _, d in canon] + list(onsite))):
+            raise ValueError("hop amplitudes and onsite energies must be finite")
         object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "onsite", tuple(float(e) for e in self.onsite))
+        object.__setattr__(self, "onsite", onsite)
         if self.labels is not None:
             if len(self.labels) != self.n_nodes:
                 raise ValueError("labels must have one entry per node")
@@ -211,6 +215,9 @@ def graph_from_json(text: str) -> WalkGraph:
     for key in ("n", "onsite", "edges"):
         if key not in doc:
             raise ValueError(f"graph json missing field '{key}'")
-    edges = tuple((int(e[0]), int(e[1]), float(e[2])) for e in doc["edges"])
-    labels = tuple(doc["labels"]) if "labels" in doc else None
-    return WalkGraph(int(doc["n"]), edges, tuple(doc["onsite"]), labels)
+    try:
+        edges = tuple((int(i), int(j), float(d)) for i, j, d in doc["edges"])
+        labels = tuple(doc["labels"]) if "labels" in doc else None
+        return WalkGraph(int(doc["n"]), edges, tuple(doc["onsite"]), labels)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed graph json: {exc}") from None

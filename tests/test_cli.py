@@ -275,3 +275,44 @@ def test_synth_trotter_needs_graph(capsys):
     """Trotter synthesis without a graph is a usage error."""
     code, _, err = _run(["synth", "trotter"], capsys)
     assert code == 2 and "needs --graph" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": 2, "onsite": [0, 0], "edges": [5]}',
+        '{"n": 2, "onsite": [0, 0], "edges": [[0, 1]]}',
+        '{"n": 2, "onsite": 5, "edges": []}',
+        '{"n": null, "onsite": [0, 0], "edges": []}',
+        '{"n": 2, "onsite": [0, 0], "edges": [], "labels": 5}',
+        '{"n": 2, "onsite": [0, 0], "edges": [[0, 1e400, 1]]}',
+        '{"n": 2, "onsite": [0, Infinity], "edges": []}',
+    ],
+)
+def test_encode_rejects_malformed_graph_json(tmp_path, capsys, doc):
+    """Badly shaped or non-finite graph files are parse errors (exit 2), not tracebacks."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(doc)
+    code, out, err = _run(["encode", str(gpath), "--scheme", "binary"], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (["simulate", "--graph"], "g.json", '{"n": 2, "onsite": [0, 0], "edges": [[0, 1, NaN]]}'),
+        (["decode"], "h.txt", "QUBITS 2\nnan * X1\n"),
+        (["decode"], "h.txt", "QUBITS 2\n1 * X1 X1\n"),
+        (
+            ["decode", "--static"],
+            "s.json",
+            '{"n": 1, "eps": [NaN], "delta": [0], "chi": [[0]], "vperp": [[0]], "vpar": [[0]]}',
+        ),
+    ],
+)
+def test_non_finite_and_ambiguous_inputs_exit_two(tmp_path, capsys, argv, name, text):
+    """NaN hops, coefficients and template fields, and repeated qubits, are refused."""
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = _run([*argv, str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")

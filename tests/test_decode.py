@@ -176,3 +176,13 @@ def test_pulse_edges_rejects_wire_overflow():
     """The gate must fit in the declared register."""
     with pytest.raises(ValueError, match="exceed the register"):
         pulse_to_walk_edges(Gate("RX", (3,), (0.1,)), 2)
+
+
+@pytest.mark.parametrize("field", ["eps", "delta", "chi", "vperp", "vpar"])
+def test_static_rejects_non_finite(field):
+    """A NaN anywhere in the template is refused, not decoded to NaN energies."""
+    arrays = {"eps": np.zeros(2), "delta": np.zeros(2)}
+    arrays.update({name: np.zeros((2, 2)) for name in ("chi", "vperp", "vpar")})
+    arrays[field].flat[1] = np.nan
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        StaticQubitHamiltonian(2, **arrays)

@@ -216,3 +216,17 @@ def test_text_rejects_malformed_term():
     """Term lines must follow the coefficient * letters grammar."""
     with pytest.raises(ValueError, match="malformed pauli term"):
         hamiltonian_from_text("QUBITS 2\n1.0 + X1")
+
+
+@pytest.mark.parametrize("coeff", ["nan", "inf", "(1-infj)"])
+def test_text_rejects_non_finite_coefficient(coeff):
+    """A non-finite coefficient is an error, not a silently dropped term."""
+    with pytest.raises(ValueError, match="must be finite"):
+        hamiltonian_from_text(f"QUBITS 2\n{coeff} * X1\n")
+
+
+@pytest.mark.parametrize("term", ["1 * X1 X1", "1 * X1 Z1", "1 * Z2 Y1 X2"])
+def test_text_rejects_repeated_qubit(term):
+    """A term naming one qubit twice is ambiguous and refused."""
+    with pytest.raises(ValueError, match="appears twice"):
+        hamiltonian_from_text(f"QUBITS 2\n{term}\n")

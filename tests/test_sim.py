@@ -12,8 +12,10 @@ from walkforge import (
     basis_state,
     build_line,
     evolve_walk,
+    exact_propagator,
     fidelity,
     unitary_distance,
+    walk_matrix,
 )
 
 rng = np.random.default_rng(16180)
@@ -118,3 +120,13 @@ def test_unitary_distance_rejects_shape_mismatch():
     """Inputs must be square matrices of equal shape."""
     with pytest.raises(ValueError, match="equal shape"):
         unitary_distance(np.eye(2), np.eye(4))
+
+
+def test_dense_cap_applies_to_every_propagator(monkeypatch):
+    """Both the propagator and walk evolution refuse matrices above the cap."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", "2")
+    g = build_line(8)
+    with pytest.raises(ValueError, match="above the dense cap 4"):
+        exact_propagator(walk_matrix(g), 1.0)
+    with pytest.raises(ValueError, match="above the dense cap 4"):
+        evolve_walk(g, basis_state(8, 0), 1.0)

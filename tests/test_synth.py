@@ -362,6 +362,27 @@ def test_to_fundamental_handles_swap_and_toffoli():
     np.testing.assert_allclose(unitary(low), unitary(c), atol=1e-12)
 
 
+@pytest.mark.parametrize("lower, kinds", [(expand_to_basic, _BASIC_KINDS), (to_fundamental, _FUNDAMENTAL_KINDS)])
+@pytest.mark.parametrize(
+    "gate",
+    [
+        Gate("CPHASE", (3, 1), (0.83,)),
+        Gate("CRK", (2, 3), (3.0,)),
+        Gate("CRX", (3, 2), (-1.3,)),
+        Gate("MCX", (1, 3, 4, 2), (), (0, 1, 0)),
+        Gate("MCRX", (4, 2, 1, 3), (0.61,), (1, 0, 1)),
+        Gate("MCRX", (2, 4), (-0.4,), (0,)),
+    ],
+)
+def test_lowering_controlled_gates(lower, kinds, gate):
+    """Controlled phases and rotations lower exactly, ancillas returned to ground."""
+    c = Circuit(4, 0, (gate,))
+    low = lower(c)
+    assert {g.kind for g in low.gates} <= kinds
+    assert low.n_qubits == 4 and low.n_ancillas == max(0, len(gate.qubits) - 2)
+    np.testing.assert_allclose(_block(low), unitary(c), atol=1e-12)
+
+
 def test_pulse_x_rotation_duration():
     """RX(pi) maps to one negative-wrapped pulse of duration pi/2 at unit strength."""
     c = Circuit(1, 0, (Gate("RX", (1,), (math.pi,)),))

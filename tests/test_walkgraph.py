@@ -240,3 +240,13 @@ def test_graph_json_rejects_missing_fields():
     """Every required JSON key must be present."""
     with pytest.raises(ValueError, match="missing field"):
         graph_from_json('{"n": 1, "onsite": [0.0]}')
+
+
+@pytest.mark.parametrize(
+    "edges, onsite",
+    [(((0, 1, math.nan),), (0.0, 0.0)), ((), (0.0, math.inf)), (((0, 1, -math.inf),), (0.0, 0.0))],
+)
+def test_walk_graph_rejects_non_finite(edges, onsite):
+    """NaN or infinite hops and onsite energies are refused on construction."""
+    with pytest.raises(ValueError, match="must be finite"):
+        WalkGraph(2, edges, onsite)
