@@ -42,7 +42,7 @@ from .gatelib import (
     expand_multicontrol,
 )
 from .pauli import hamiltonian_from_text, hamiltonian_to_text, to_matrix
-from .sim import basis_state, evolve_walk, exact_propagator, unitary_distance
+from .sim import _distance_and_phase, basis_state, evolve_walk, exact_propagator
 from .spinchain import (
     XYChain,
     collapse_defect,
@@ -225,7 +225,16 @@ def _encode_deviation(g: WalkGraph, scheme: str) -> float:
     return dev
 
 
-def _verify_deviation(args) -> tuple[str, float]:
+def _unitary_report(label: str, got: np.ndarray, want: np.ndarray) -> tuple[str, float, list[str]]:
+    """Phase-minimized distance plus the phase used and the worst entry, as bit labels."""
+    dev, phase = _distance_and_phase(got, want)
+    row, col = divmod(int(np.argmax(np.abs(got - np.exp(1j * phase) * want))), got.shape[0])
+    bits = _index_labels(got.shape[0])
+    return label, dev, [f"phase = {_fmt(phase)}", f"worst entry = row {bits[row]} col {bits[col]}"]
+
+
+def _verify_deviation(args) -> tuple[str, float, list[str]]:
+    """Label, max deviation and the diagnostic lines printed after it."""
     conv = gate_conventions()
     if args.kind == "encode":
         if args.random:
@@ -234,10 +243,10 @@ def _verify_deviation(args) -> tuple[str, float]:
             for _ in range(args.random):
                 g = _random_graph(rng, args.max_nodes)
                 dev = max(dev, _encode_deviation(g, args.scheme))
-            return f"encode {args.scheme} x{args.random}", dev
+            return f"encode {args.scheme} x{args.random}", dev, []
         if not args.graph:
             raise ValueError("verify --kind encode needs --graph or --random")
-        return f"encode {args.scheme}", _encode_deviation(_load_graph(args.graph), args.scheme)
+        return f"encode {args.scheme}", _encode_deviation(_load_graph(args.graph), args.scheme), []
 
     if args.circuit:
         c = circuit_from_text(Path(args.circuit).read_text())
@@ -264,7 +273,7 @@ def _verify_deviation(args) -> tuple[str, float]:
         g = _load_graph(args.graph)
         h = encode_single_excitation(g) if args.scheme == "single" else encode_binary(g)
         want = exact_propagator(to_matrix(h), args.t)
-        return f"circuit vs exact propagator t={_fmt(args.t)}", float(unitary_distance(got, want))
+        return _unitary_report(f"circuit vs exact propagator t={_fmt(args.t)}", got, want)
 
     if args.kind is None:
         raise ValueError("verify --against oracle needs --kind")
@@ -286,14 +295,15 @@ def _verify_deviation(args) -> tuple[str, float]:
             0,
         ),
     }
-    want = targets[args.kind]()
-    return args.kind, float(unitary_distance(got, want))
+    return _unitary_report(args.kind, got, targets[args.kind]())
 
 
 def _cmd_verify(args) -> int:
-    label, dev = _verify_deviation(args)
+    label, dev, diagnostics = _verify_deviation(args)
     print(f"kind = {label}")
     print(f"max deviation = {_fmt(dev)}")
+    for line in diagnostics:
+        print(line)
     print(f"tolerance = {_fmt(args.tol)}")
     if dev <= args.tol:
         print("PASS")

@@ -207,7 +207,7 @@ def hop_string(z: str, w: str) -> PauliHamiltonian:
 
 
 def _format_coeff(c: complex) -> str:
-    if abs(c.imag) <= MERGE_TOL:
+    if c.imag == 0:
         return f"{c.real:.17g}"
     return f"({c.real:.17g}{c.imag:+.17g}j)"
 

@@ -5,6 +5,7 @@ exponentiated by exact eigendecomposition, never by splitting formulas.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,16 +83,17 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def _phase_distance(u: np.ndarray, v: np.ndarray, phi: float) -> float:
-    return float(np.max(np.abs(u - np.exp(1j * phi) * v)))
+# Phase search: the points of a 721-point grid on the circle that fall in the
+# bracket, when it is wider than the +-0.02 refinement window, then
+# golden-section refinement down to 1e-15 rad.
+_GRID_STEP = 2.0 * math.pi / 720
+_REFINE_HALF_WIDTH = 0.02
+_PHASE_RESOLUTION = 1e-15
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """min over a global phase of the max-abs entrywise difference u - e^{i phi} v.
-
-    Both matrices are checked for unitarity first, so a distance near zero
-    certifies equality up to a physically irrelevant phase.
-    """
+def _distance_and_phase(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """unitary_distance together with the global phase in [-pi, pi] that attains it."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -99,25 +101,58 @@ def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
     dim = u.shape[0]
     eye = np.eye(dim)
     for name, m in (("first", u), ("second", v)):
-        if np.max(np.abs(m.conj().T @ m - eye)) > 1e-9 * dim:
+        if not np.max(np.abs(m.conj().T @ m - eye)) <= 1e-9 * dim:  # NaN fails too
             raise ValueError(f"{name} matrix is not unitary")
-    # Seed the phase from the largest entry of v, then refine by ternary search
-    # around the best of a coarse scan; the objective is piecewise smooth in phi.
-    flat = np.argmax(np.abs(v))
-    i, j = divmod(int(flat), dim)
-    guesses = [float(np.angle(u[i, j]) - np.angle(v[i, j]))]
-    coarse = np.linspace(-np.pi, np.pi, 721)
-    vals = [_phase_distance(u, v, p) for p in coarse]
-    guesses.append(float(coarse[int(np.argmin(vals))]))
-    best = min(_phase_distance(u, v, p) for p in guesses)
-    center = min(guesses, key=lambda p: _phase_distance(u, v, p))
-    lo, hi = center - 0.02, center + 0.02
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if _phase_distance(u, v, m1) <= _phase_distance(u, v, m2):
-            hi = m2
+
+    def dist(phi: float) -> float:
+        return float(np.max(np.abs(u - np.exp(1j * phi) * v)))
+
+    # arg tr(v^dagger u) is exact when u and v agree up to a phase.
+    phi0 = float(np.angle(np.vdot(v, u)))
+    best = (dist(phi0), phi0)
+    # |u_k - e^{i phi} v_k|^2 = (|u_k| - |v_k|)^2 + 4 p_k sin^2((phi - theta_k) / 2)
+    # with p_k = |u_k v_k| and theta_k = arg(u_k conj(v_k)), so a phase that beats
+    # best lies within 2 asin(best / 2 sqrt(p)) of theta at the largest p. When
+    # p = 0 or best >= 2 sqrt(p) the bracket is the whole circle.
+    prod = (u * v.conj()).ravel()
+    k = int(np.argmax(np.abs(prod)))
+    theta, root_p = float(np.angle(prod[k])), math.sqrt(abs(prod[k]))
+    if best[0] < 2.0 * root_p:
+        half = 2.0 * math.asin(best[0] / (2.0 * root_p))
+        lo, hi = theta - half, theta + half
+    else:
+        half, lo, hi = math.pi, -math.pi, math.pi
+    if half > _REFINE_HALF_WIDTH:
+        grid = np.arange(math.ceil(lo / _GRID_STEP), math.floor(hi / _GRID_STEP) + 1) * _GRID_STEP
+        vals = [dist(p) for p in grid]
+        i = int(np.argmin(vals))
+        best = min(best, (vals[i], float(grid[i])))
+        lo, hi = best[1] - _REFINE_HALF_WIDTH, best[1] + _REFINE_HALF_WIDTH
+    # Golden-section search; f is piecewise smooth in phi and unimodal near its minimum.
+    width = max(hi - lo, _PHASE_RESOLUTION)
+    steps = math.ceil(math.log(width / _PHASE_RESOLUTION) / -math.log(_INV_GOLDEN))
+    a, b = lo, hi
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = dist(c), dist(d)
+    for _ in range(steps):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = dist(c)
         else:
-            lo = m1
-    best = min(best, _phase_distance(u, v, (lo + hi) / 2))
-    return best
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = dist(d)
+    dev, phi = min(best, (fc, c), (fd, d))
+    return dev, math.remainder(phi, 2.0 * math.pi)
+
+
+def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """min over a global phase of the max-abs entrywise difference u - e^{i phi} v.
+
+    Both matrices are checked for unitarity first, so a distance near zero
+    certifies equality up to a physically irrelevant phase. The result never
+    exceeds the distance at phi = arg tr(v^dagger u) and is never below the
+    modulus gap max ||u| - |v||.
+    """
+    return _distance_and_phase(u, v)[0]

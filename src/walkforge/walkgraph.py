@@ -204,8 +204,28 @@ def graph_to_json(g: WalkGraph) -> str:
     return json.dumps(doc)
 
 
+def _is_number(x, kinds: tuple = (int, float)) -> bool:
+    """A JSON number of the given kinds; booleans are not numbers."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
+def _is_edge(e) -> bool:
+    """[i, j, delta] with integer endpoints and a numeric hop."""
+    return (
+        isinstance(e, list)
+        and len(e) == 3
+        and _is_number(e[0], int)
+        and _is_number(e[1], int)
+        and _is_number(e[2])
+    )
+
+
 def graph_from_json(text: str) -> WalkGraph:
-    """Parse the JSON graph format; unknown fields are rejected."""
+    """Parse the JSON graph format; unknown fields and mistyped values are rejected.
+
+    ``n`` and edge endpoints must be JSON integers, hops and on-site energies
+    JSON numbers (booleans are neither), and ``labels`` a list of strings.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("graph json must be an object")
@@ -215,9 +235,17 @@ def graph_from_json(text: str) -> WalkGraph:
     for key in ("n", "onsite", "edges"):
         if key not in doc:
             raise ValueError(f"graph json missing field '{key}'")
+    n, onsite, edges = doc["n"], doc["onsite"], doc["edges"]
+    if not _is_number(n, int):
+        raise ValueError("graph json 'n' must be an integer")
+    if not (isinstance(onsite, list) and all(map(_is_number, onsite))):
+        raise ValueError("graph json 'onsite' must be a list of numbers")
+    if not (isinstance(edges, list) and all(map(_is_edge, edges))):
+        raise ValueError("graph json 'edges' must be a list of [i, j, delta] with integer i, j")
+    labels = doc.get("labels")
+    if "labels" in doc and not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+        raise ValueError("graph json 'labels' must be a list of strings")
     try:
-        edges = tuple((int(i), int(j), float(d)) for i, j, d in doc["edges"])
-        labels = tuple(doc["labels"]) if "labels" in doc else None
-        return WalkGraph(int(doc["n"]), edges, tuple(doc["onsite"]), labels)
-    except (TypeError, OverflowError) as exc:
+        return WalkGraph(n, tuple(map(tuple, edges)), tuple(onsite), None if labels is None else tuple(labels))
+    except OverflowError as exc:
         raise ValueError(f"malformed graph json: {exc}") from None

@@ -12,10 +12,12 @@ from walkforge import (
     circuit_from_text,
     circuit_to_text,
     encode_binary,
+    gate_conventions,
     graph_from_json,
     graph_to_json,
     gray_labels,
     hamiltonian_to_text,
+    unitary,
     walk_matrix,
 )
 from walkforge.cli import main
@@ -166,6 +168,29 @@ def test_verify_builtin_cnot(capsys):
     assert "PASS" in out
 
 
+def test_verify_reports_phase_and_worst_entry(tmp_path, capsys):
+    """After the deviation line, verify prints the global phase it used and the
+    entry where the deviation occurs, as row and column bit labels."""
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("QUBITS 2 ANCILLAS 0\nCNOT q1 q2\nGPHASE 0.5\n")
+    code, out, _ = _run(["verify", str(cpath), "--against", "oracle", "--kind", "cnot"], capsys)
+    lines = out.splitlines()
+    assert code == 0
+    assert [ln.split(" = ")[0] for ln in lines[1:4]] == ["max deviation", "phase", "worst entry"]
+    assert float(lines[2].split(" = ")[1]) == pytest.approx(0.5, abs=1e-15)
+
+    text = "QUBITS 2 ANCILLAS 0\nCNOT q1 q2\nRX q2 0.3\n"
+    cpath.write_text(text)
+    code, out, _ = _run(["verify", str(cpath), "--against", "oracle", "--kind", "cnot"], capsys)
+    report = dict(ln.split(" = ") for ln in out.splitlines() if " = " in ln)
+    assert code == 1
+    _, row, _, col = report["worst entry"].split()
+    got = unitary(circuit_from_text(text))
+    want = gate_conventions()["CNOT"]
+    gap = abs(got[int(row, 2), int(col, 2)] - np.exp(1j * float(report["phase"])) * want[int(row, 2), int(col, 2)])
+    assert gap == pytest.approx(float(report["max deviation"]), abs=1e-15)
+
+
 def test_verify_random_encodings(capsys):
     """A batch of random graphs verifies both encodings entrywise."""
     for scheme in ("single", "binary"):
@@ -287,6 +312,11 @@ def test_synth_trotter_needs_graph(capsys):
         '{"n": 2, "onsite": [0, 0], "edges": [], "labels": 5}',
         '{"n": 2, "onsite": [0, 0], "edges": [[0, 1e400, 1]]}',
         '{"n": 2, "onsite": [0, Infinity], "edges": []}',
+        '{"n": 2.7, "onsite": "12", "edges": [[0.9, 1, 1]]}',
+        '{"n": true, "onsite": [0], "edges": []}',
+        '{"n": 2, "onsite": [0, false], "edges": []}',
+        '{"n": 2, "onsite": [0, 0], "edges": [[0, 1, "1"]]}',
+        '{"n": 2, "onsite": [0, 0], "edges": [], "labels": ["a", 1]}',
     ],
 )
 def test_encode_rejects_malformed_graph_json(tmp_path, capsys, doc):

@@ -86,6 +86,7 @@ def test_graph_json_accepts_or_raises_value_error(text):
 def test_pauli_text_round_trips(h):
     text = hamiltonian_to_text(h)
     assert hamiltonian_to_text(hamiltonian_from_text(text)) == text
+    assert hamiltonian_from_text(text) == h
 
 
 @_SETTINGS

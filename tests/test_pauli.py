@@ -200,6 +200,14 @@ def test_text_round_trip():
     assert hamiltonian_to_text(back) == text
 
 
+def test_text_keeps_tiny_imaginary_part():
+    """An imaginary part below the merge tolerance is still written and read back."""
+    h = PauliHamiltonian(1, ((1 + 1e-15j, PauliString(1, "X")),))
+    back = hamiltonian_from_text(hamiltonian_to_text(h))
+    assert back == h
+    assert back.terms[0][0].imag == 1e-15
+
+
 def test_text_identity_term_spelled_i():
     """The all-identity term serializes as a lone I token."""
     h = PauliHamiltonian(2, ((1.5, PauliString(2, "II")),))

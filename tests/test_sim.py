@@ -116,10 +116,82 @@ def test_unitary_distance_rejects_non_unitary():
         unitary_distance(np.ones((2, 2)), np.eye(2))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_unitary_distance_rejects_non_finite(bad):
+    """A NaN or infinite entry fails the unitarity check instead of yielding NaN."""
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = bad
+    with pytest.raises(ValueError, match="first matrix is not unitary"):
+        unitary_distance(u, np.eye(2))
+    with pytest.raises(ValueError, match="second matrix is not unitary"):
+        unitary_distance(np.eye(2), u)
+
+
 def test_unitary_distance_rejects_shape_mismatch():
     """Inputs must be square matrices of equal shape."""
     with pytest.raises(ValueError, match="equal shape"):
         unitary_distance(np.eye(2), np.eye(4))
+
+
+def _scan_distance(u, v):
+    """The exhaustive phase search unitary_distance used to run: a seed from the
+    largest entry of v, a 721-point scan of the circle, then 200 ternary rounds
+    within +-0.02 of the better of the two."""
+
+    def dist(phi):
+        return float(np.max(np.abs(u - np.exp(1j * phi) * v)))
+
+    i, j = divmod(int(np.argmax(np.abs(v))), v.shape[0])
+    guesses = [float(np.angle(u[i, j]) - np.angle(v[i, j]))]
+    coarse = np.linspace(-np.pi, np.pi, 721)
+    scan = [np.abs(u - np.exp(1j * part)[:, None, None] * v).max(axis=(1, 2)) for part in np.split(coarse, 7)]
+    guesses.append(float(coarse[int(np.argmin(np.concatenate(scan)))]))
+    center = min(guesses, key=dist)
+    lo, hi = center - 0.02, center + 0.02
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if dist(m1) <= dist(m2):
+            hi = m2
+        else:
+            lo = m1
+    return min(min(dist(p) for p in guesses), dist((lo + hi) / 2))
+
+
+def _haar(gen, dim):
+    q, r = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 8, 16, 33, 64])
+def test_unitary_distance_matches_exhaustive_scan(dim):
+    """The bracketed search never loses to the old scan, the modulus gap bounds
+    it below and the phase-aligned distance at arg tr(v^dagger u) above."""
+    gen = np.random.default_rng(dim)
+    u = _haar(gen, dim)
+    pairs = [u, np.exp(1j * gen.uniform(-4, 4)) * u, _haar(gen, dim)]
+    for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.7, 2.0):
+        a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+        a = (a + a.conj().T) / np.linalg.norm(a + a.conj().T, 2)
+        pairs.append(np.exp(1j * gen.uniform(-4, 4)) * exact_propagator(a, eps) @ u)
+    for v in pairs:
+        got = unitary_distance(u, v)
+        aligned = float(np.max(np.abs(u - np.exp(1j * np.angle(np.vdot(v, u))) * v)))
+        assert got <= _scan_distance(u, v) + 1e-15
+        assert got >= float(np.max(np.abs(np.abs(u) - np.abs(v)))) - 1e-15
+        assert got <= aligned
+
+
+def test_unitary_distance_disjoint_supports():
+    """With no entry shared by u and v the bracket is the whole circle: |1 - 0| = 1."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    assert unitary_distance(np.eye(2), x) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_unitary_distance_one_by_one():
+    """Two phases of the 1 x 1 identity are equal up to a global phase."""
+    assert unitary_distance(np.array([[1j]]), np.array([[1.0]])) < 1e-15
+    assert unitary_distance(np.array([[np.exp(2.5j)]]), np.array([[-1.0]])) < 1e-15
 
 
 def test_dense_cap_applies_to_every_propagator(monkeypatch):

@@ -242,6 +242,25 @@ def test_graph_json_rejects_missing_fields():
         graph_from_json('{"n": 1, "onsite": [0.0]}')
 
 
+def test_graph_json_accepts_integer_numbers():
+    """JSON integers are numbers, so integral hops and energies parse."""
+    g = graph_from_json('{"n": 2, "onsite": [0, 1], "edges": [[1, 0, 2]]}')
+    assert g == WalkGraph(2, ((0, 1, 2.0),), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", "2.0"), ("n", "true"), ("onsite", "[0, true]"), ("onsite", '"01"'), ("edges", "[[0.0, 1, 1]]"),
+     ("edges", "[[0, 1, null]]"), ("labels", '["0", 1]'), ("labels", '"01"')],
+)
+def test_graph_json_rejects_mistyped_values(field, value):
+    """Non-integer counts and endpoints, non-numeric weights and non-string labels are refused."""
+    doc = {"n": "2", "onsite": "[0, 0]", "edges": "[[0, 1, 1]]", field: value}
+    text = "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
+    with pytest.raises(ValueError, match=f"'{field}' must be"):
+        graph_from_json(text)
+
+
 @pytest.mark.parametrize(
     "edges, onsite",
     [(((0, 1, math.nan),), (0.0, 0.0)), ((), (0.0, math.inf)), (((0, 1, -math.inf),), (0.0, 0.0))],
