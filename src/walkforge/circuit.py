@@ -12,7 +12,7 @@ used to keep decompositions exactly equal to their targets).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,7 +135,7 @@ def _cphase(phi: float) -> np.ndarray:
 
 
 def _crk(k: float) -> np.ndarray:
-    return _cphase(2.0 * np.pi / 2.0**k)
+    return _cphase(2.0 * np.pi * 2.0**-k)  # a huge k underflows to the identity
 
 
 def _xx(chi: float) -> np.ndarray:
@@ -193,7 +193,7 @@ def gate_conventions() -> dict[str, object]:
     out: dict[str, object] = {
         "Y": np.array([[0, 1j], [-1j, 0]], dtype=complex),
         "Z": np.diag([-1.0 + 0j, 1.0 + 0j]),
-        "T": lambda k: np.diag([1.0, np.exp(2j * np.pi / 2.0**k)]),
+        "T": lambda k: np.diag([1.0, np.exp(2j * np.pi * 2.0**-k)]),
     }
     for kind, (n_wires, _, mat) in _GATES.items():
         if n_wires:  # multi-controls and GPHASE have no fixed-size matrix
@@ -229,11 +229,41 @@ def _run(c: Circuit, block: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _repeated_block(gates: tuple[Gate, ...]) -> tuple[tuple[Gate, ...], int]:
+    """(block, reps) with block * reps == gates and the block as short as possible."""
+    n = len(gates)
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and gates[p] == gates[0] and gates[:p] * (n // p) == gates:
+            return gates[:p], n // p
+    return gates, 1
+
+
+# About how many gate applications on the identity one 2^w x 2^w matmul costs,
+# by w (one BLAS thread, 2-core x86 host); beyond the table it doubles per wire.
+_MATMUL_IN_GATES = (0.5,) * 6 + (2.6, 3.6, 6.2, 13.4, 20.6, 20.6)
+
+
+def _power_pays(p: int, reps: int, w: int) -> bool:
+    """Whether p gates plus at most 2 bit_length(reps) matmuls beat reps * p gates."""
+    last = len(_MATMUL_IN_GATES) - 1
+    ratio = _MATMUL_IN_GATES[min(w, last)] * 2.0 ** max(0, w - last)
+    return (reps - 1) * p > 2 * reps.bit_length() * ratio
+
+
 def unitary(c: Circuit) -> np.ndarray:
-    """Exact 2^(n+a) x 2^(n+a) product of the gate matrices, in order."""
+    """Exact 2^(n+a) x 2^(n+a) product of the gate matrices, in order.
+
+    A gate tuple made of one block repeated reps times is evaluated as the
+    block's unitary raised to the power reps, when the counts say the
+    squarings cost less than the gates.
+    """
     check_qubit_count(c.n_wires, "circuit unitary")
     dim = 1 << c.n_wires
-    return _run(c, np.eye(dim, dtype=complex))
+    block, reps = _repeated_block(c.gates)
+    if not _power_pays(len(block), reps, c.n_wires):
+        block, reps = c.gates, 1
+    u = _run(replace(c, gates=block) if reps > 1 else c, np.eye(dim, dtype=complex))
+    return np.linalg.matrix_power(u, reps)
 
 
 def apply(c: Circuit, state):
@@ -283,7 +313,11 @@ def circuit_to_text(c: Circuit) -> str:
 
 
 def circuit_from_text(text: str) -> Circuit:
-    """Parse the textual circuit format."""
+    """Parse the textual circuit format.
+
+    MCX/MCRX need a +q/-q polarity on every control and none on the target;
+    other kinds take plain q wires.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty circuit text")
@@ -297,14 +331,19 @@ def circuit_from_text(text: str) -> Circuit:
         kind = tokens[0]
         qubits: list[int] = []
         polarities: list[int] = []
+        signed: list[bool] = []
         params: list[float] = []
         for tok in tokens[1:]:
             if tok.startswith(("+q", "-q")):
                 polarities.append(1 if tok[0] == "+" else 0)
                 qubits.append(int(tok[2:]))
+                signed.append(True)
             elif tok.startswith("q"):
                 qubits.append(int(tok[1:]))
+                signed.append(False)
             else:
                 params.append(float(tok))
+        if kind in ("MCX", "MCRX") and signed != [True] * (len(signed) - 1) + [False]:
+            raise ValueError(f"{kind} needs a +q/-q polarity on every control and none on the target")
         gates.append(Gate(kind, tuple(qubits), tuple(params), tuple(polarities)))
     return Circuit(n, a, tuple(gates))

@@ -65,6 +65,8 @@ from .synth import (
 from .walkgraph import (
     Hyperlattice,
     WalkGraph,
+    _is_number,
+    _json_document,
     build_cycle,
     build_hypercube,
     build_hyperlattice_graph,
@@ -119,15 +121,25 @@ def _cmd_encode(args) -> int:
     return 0
 
 
+def _is_table(x, depth: int) -> bool:
+    """A JSON list nested depth deep whose leaves are numbers (not booleans)."""
+    if depth == 0:
+        return _is_number(x)
+    return isinstance(x, list) and all(_is_table(v, depth - 1) for v in x)
+
+
 def _load_static(path: str) -> StaticQubitHamiltonian:
-    raw = json.loads(Path(path).read_text())
+    raw = _json_document(Path(path).read_text(), "static parameter file")
     fields = ("n", "eps", "delta", "chi", "vperp", "vpar")
     if not isinstance(raw, dict) or set(raw) != set(fields):
         raise ValueError(f"static parameter file must have exactly the fields {sorted(fields)}")
-    try:
-        return StaticQubitHamiltonian(*(raw[f] for f in fields))
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed static parameter file: {exc}") from None
+    if not _is_number(raw["n"], int):
+        raise ValueError("static parameter 'n' must be an integer")
+    for f, depth in zip(fields[1:], (1, 1, 2, 2, 2)):
+        if not _is_table(raw[f], depth):
+            shape = "list" if depth == 1 else "matrix"
+            raise ValueError(f"static parameter '{f}' must be a {shape} of numbers")
+    return StaticQubitHamiltonian(*(raw[f] for f in fields))
 
 
 def _cmd_decode(args) -> int:

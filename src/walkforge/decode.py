@@ -30,6 +30,14 @@ __all__ = [
 _EDGE_TOL = 1e-14
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    """x as a float array; strings, booleans and complex values are refused, not coerced."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers")
+    return a.astype(float)
+
+
 @dataclass(frozen=True)
 class StaticQubitHamiltonian:
     """Always-on qubit couplings: H = sum_a (-eps_a Z_a - delta_a X_a)
@@ -47,19 +55,22 @@ class StaticQubitHamiltonian:
     vpar: np.ndarray
 
     def __post_init__(self) -> None:
-        n = int(self.n_qubits)
+        n = self.n_qubits
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError("qubit count must be an integer")
+        n = int(n)
         if n < 1:
             raise ValueError("need at least one qubit")
         object.__setattr__(self, "n_qubits", n)
         for name in ("eps", "delta"):
-            v = np.asarray(getattr(self, name), dtype=float)
+            v = _real_array(getattr(self, name), name)
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
         for name in ("chi", "vperp", "vpar"):
-            m = np.asarray(getattr(self, name), dtype=float)
+            m = _real_array(getattr(self, name), name)
             if m.shape != (n, n):
                 raise ValueError(f"{name} must have shape ({n}, {n})")
             if not np.all(np.isfinite(m)):

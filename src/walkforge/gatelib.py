@@ -50,6 +50,10 @@ class FundamentalPulse:
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if len(self.qubits) != n_wires:
             raise ValueError(f"{self.term} pulse acts on {n_wires} qubit(s)")
+        if any(q < 1 for q in self.qubits):
+            raise ValueError("pulse wire indices are 1-based")
+        if len(set(self.qubits)) != n_wires:
+            raise ValueError("pulse wires must be distinct")
         if not np.isfinite(self.strength):
             raise ValueError("pulse strength must be finite")
         if not np.isfinite(self.duration) or self.duration < 0:
@@ -154,7 +158,7 @@ def decompose_controlled_rk(k: int) -> Circuit:
     k = int(k)
     if k < 1:
         raise ValueError("k must be at least 1")
-    return decompose_cphase(2.0 * _PI / 2.0**k)
+    return decompose_cphase(2.0 * _PI * 2.0**-k)
 
 
 def decompose_swap() -> Circuit:

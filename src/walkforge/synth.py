@@ -475,6 +475,8 @@ def replay_pulses(pulses: tuple[FundamentalPulse, ...], n_wires: int) -> np.ndar
     dim = 1 << n_wires
     u = np.eye(dim, dtype=complex)
     for p in pulses:
+        if max(p.qubits) > n_wires:
+            raise ValueError(f"{p.term} pulse on wire {max(p.qubits)} beyond the {n_wires} wires")
         h = to_matrix(_pulse_generator(p, n_wires))
         u = exact_propagator(h, p.duration) @ u
     return u
@@ -493,7 +495,10 @@ def pulses_to_csv(pulses: tuple[FundamentalPulse, ...]) -> str:
 
 def pulses_from_csv(text: str) -> tuple[FundamentalPulse, ...]:
     """Parse the pulse CSV format."""
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(f"malformed pulse csv: {exc}") from None
     if not rows or rows[0] != ["term", "qubits", "strength", "duration"]:
         raise ValueError("pulse csv must start with the term,qubits,strength,duration header")
     out = []

@@ -220,13 +220,21 @@ def _is_edge(e) -> bool:
     )
 
 
+def _json_document(text: str, what: str):
+    """json.loads, with input nested too deeply for the decoder refused as ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def graph_from_json(text: str) -> WalkGraph:
     """Parse the JSON graph format; unknown fields and mistyped values are rejected.
 
     ``n`` and edge endpoints must be JSON integers, hops and on-site energies
     JSON numbers (booleans are neither), and ``labels`` a list of strings.
     """
-    doc = json.loads(text)
+    doc = _json_document(text, "graph json")
     if not isinstance(doc, dict):
         raise ValueError("graph json must be an object")
     unknown = set(doc) - _JSON_FIELDS

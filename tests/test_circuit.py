@@ -10,13 +10,20 @@ from walkforge import (
     Circuit,
     Gate,
     StateVector,
+    TrotterPlan,
     ancilla_ground_block,
     apply,
     basis_state,
+    build_cycle,
+    build_hypercube,
+    build_line,
     circuit_from_text,
     circuit_to_text,
+    encode_binary,
+    trotterize,
     unitary,
 )
+from walkforge.circuit import _power_pays, _repeated_block, _run
 
 rng = np.random.default_rng(271828)
 
@@ -268,3 +275,87 @@ def test_circuit_text_rejects_bad_header():
         circuit_from_text("H q1\n")
     with pytest.raises(ValueError, match="empty circuit text"):
         circuit_from_text("")
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("MCX q1 +q2", "polarity on every control"),
+        ("MCX +q1 +q2", "none on the target"),
+        ("MCRX +q1 q2 -q3 0.5", "polarity on every control"),
+        ("MCX q1", "at least one control"),
+        ("CNOT +q1 q2", "takes no polarities"),
+    ],
+)
+def test_circuit_text_polarities_by_position(text, match):
+    """Every multi-control control carries a sign, the target none; other kinds none at all."""
+    with pytest.raises(ValueError, match=match):
+        circuit_from_text(f"QUBITS 3 ANCILLAS 0\n{text}\n")
+
+
+def test_crk_huge_order_is_the_identity():
+    """2 pi 2^-k underflows to a zero phase instead of overflowing 2^k."""
+    c = circuit_from_text("QUBITS 2 ANCILLAS 0\nCRK q1 q2 1e300\n")
+    assert np.array_equal(unitary(c), np.eye(4))
+
+
+def _trotter_circuits():
+    onsite = (0.3, -0.2, 0.1, 0.5, 0.0, 0.7)
+    cases = [
+        ("cycle5", build_cycle(5), (2, 16)),
+        ("line6-onsite", build_line(6, eps=onsite), (5,)),
+        ("hypercube3", build_hypercube(3), (9,)),
+        ("cycle12", build_cycle(12), (3,)),
+    ]
+    for name, g, step_counts in cases:
+        for steps in step_counts:
+            c = trotterize(encode_binary(g), 0.9, TrotterPlan(steps))
+            yield pytest.param(c, steps, id=f"{name}-{steps}")
+
+
+@pytest.mark.parametrize("c, steps", _trotter_circuits())
+def test_trotter_unitary_matches_gate_by_gate(c, steps):
+    """The step raised to the power N equals the product of all N steps' gates,
+    and entries between the ancilla-down and ancilla-up sectors stay exact zeros."""
+    block, reps = _repeated_block(c.gates)
+    assert reps % steps == 0 and _power_pays(len(block), reps, c.n_wires)
+    u = unitary(c)
+    want = _run(c, np.eye(1 << c.n_wires, dtype=complex))
+    assert np.max(np.abs(u - want)) <= 1e-12
+    if c.n_ancillas:
+        assert np.count_nonzero(u[1::2, ::2]) == 0 and np.count_nonzero(u[::2, 1::2]) == 0
+
+
+def test_trotter_circuits_include_global_phases():
+    """On-site energies give an identity term, so the repeated step holds GPHASE gates."""
+    c = trotterize(encode_binary(build_line(6, eps=(0.3, -0.2, 0.1, 0.5, 0.0, 0.7))), 0.9, TrotterPlan(4))
+    assert c.n_ancillas == 1 and any(g.kind == "GPHASE" for g in c.gates)
+
+
+def test_aperiodic_unitary_is_bit_identical():
+    """A circuit with no repeated block takes the gate-by-gate path unchanged."""
+    gates = tuple(Gate("RX", (q % 3 + 1,), (0.1 * q,)) for q in range(40)) + (Gate("CNOT", (1, 3)),)
+    c = Circuit(3, 0, gates)
+    assert _repeated_block(c.gates) == (c.gates, 1)
+    assert np.array_equal(unitary(c), _run(c, np.eye(8, dtype=complex)))
+
+
+def test_repeated_block_is_the_shortest_period():
+    """The block is the shortest prefix whose repetition is the whole tuple."""
+    a, b, d = Gate("X", (1,)), Gate("H", (1,)), Gate("RZ", (1,), (0.5,))
+    assert _repeated_block((a, b) * 3) == ((a, b), 3)
+    assert _repeated_block((a,) * 4) == ((a,), 4)
+    assert _repeated_block((a, b, a, b, a, b, a, b)) == ((a, b), 4)
+    assert _repeated_block((a, b, a, d)) == ((a, b, a, d), 1)
+    assert _repeated_block((a, b, a)) == ((a, b, a), 1)
+    assert _repeated_block(()) == ((), 1)
+
+
+def test_power_rule_counts():
+    """Decided on counts alone: no matrix of any size is built here."""
+    assert not _power_pays(1, 2, 12)  # X q1; X q1 on 12 wires: two gates, not a 4096^3 matmul
+    assert not _power_pays(1, 2, 40)
+    assert not any(_power_pays(p, 1, w) for p in (1, 10**6) for w in range(20))
+    assert _power_pays(935, 10, 7)  # one cycle(64) Trotter step, ten steps
+    assert _power_pays(116, 2, 4)
+    assert not _power_pays(2, 2, 2)

@@ -346,3 +346,68 @@ def test_non_finite_and_ambiguous_inputs_exit_two(tmp_path, capsys, argv, name, 
     path.write_text(text)
     code, out, err = _run([*argv, str(path)], capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+_STATIC_OK = {"n": 1, "eps": [0], "delta": [0], "chi": [[0]], "vperp": [[0]], "vpar": [[0]]}
+
+
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (["encode", "--scheme", "binary"], "g.json", _DEEP),
+        (["decode", "--static"], "s.json", _DEEP),
+        (["decode", "--static"], "s.json", json.dumps(_STATIC_OK | {"n": 1.7, "eps": ["3"]})),
+        (
+            ["decode", "--static"],
+            "s.json",
+            json.dumps(_STATIC_OK | {"n": True, "eps": [True], "delta": [False]}),
+        ),
+        (["decode", "--static"], "s.json", json.dumps(_STATIC_OK | {"eps": ["3"]})),
+        (["decode", "--static"], "s.json", json.dumps(_STATIC_OK | {"delta": [False]})),
+        (["decode", "--static"], "s.json", json.dumps(_STATIC_OK | {"chi": [0]})),
+        (["decode", "--static"], "s.json", json.dumps(_STATIC_OK | {"vpar": [["0"]]})),
+        (["simulate", "--circuit"], "c.txt", "QUBITS 2 ANCILLAS 0\nMCX q1 +q2\n"),
+        (["simulate", "--circuit"], "c.txt", "QUBITS 2 ANCILLAS 0\nMCX +q1 +q2\n"),
+        (
+            ["verify", "--against", "exact", "--graph", "unread.json"],
+            "c.txt",
+            "QUBITS 2 ANCILLAS 0\nMCX q1 +q2\n",
+        ),
+    ],
+    ids=[
+        "deep-graph",
+        "deep-static",
+        "float-n-string-eps",
+        "bool-n-eps-delta",
+        "string-eps",
+        "bool-delta",
+        "flat-chi",
+        "string-vpar",
+        "simulate-polarity-on-target",
+        "simulate-signed-target",
+        "verify-polarity-on-target",
+    ],
+)
+def test_nested_coerced_and_misplaced_inputs_exit_two(tmp_path, capsys, argv, name, text):
+    """Deep nesting, mistyped static fields and misplaced polarities are parse errors."""
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = _run([*argv, str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_decode_static_accepts_integers(tmp_path, capsys):
+    """Integer entries are JSON numbers and decode as before."""
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(_STATIC_OK | {"eps": [1], "delta": [2]}))
+    code, out, _ = _run(["decode", "--static", str(spath)], capsys)
+    assert code == 0 and graph_from_json(out).n_nodes == 2
+
+
+def test_simulate_crk_huge_order_is_the_identity(tmp_path, capsys):
+    """CRK with k = 1e300 is a zero phase, not an OverflowError traceback."""
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("QUBITS 2 ANCILLAS 0\nCRK q1 q2 1e300\n")
+    code, out, _ = _run(["simulate", "--circuit", str(cpath), "--state", "3"], capsys)
+    assert code == 0 and json.loads(out)["amps"] == [[0.0, 0.0]] * 3 + [[1.0, 0.0]]

@@ -186,3 +186,29 @@ def test_static_rejects_non_finite(field):
     arrays[field].flat[1] = np.nan
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         StaticQubitHamiltonian(2, **arrays)
+
+
+@pytest.mark.parametrize(
+    "n, field, value, match",
+    [
+        (1.7, "eps", np.zeros(1), "qubit count must be an integer"),
+        (True, "eps", np.zeros(1), "qubit count must be an integer"),
+        (1, "eps", np.array(["3"]), "eps must hold real numbers"),
+        (1, "delta", np.array([False]), "delta must hold real numbers"),
+        (1, "chi", np.array([[0j]]), "chi must hold real numbers"),
+        (1, "vpar", [[None]], "vpar must hold real numbers"),
+    ],
+)
+def test_static_refuses_to_coerce(n, field, value, match):
+    """Strings, booleans, complex numbers and non-integer counts are refused, not converted."""
+    arrays = {"eps": np.zeros(1), "delta": np.zeros(1)}
+    arrays.update({name: np.zeros((1, 1)) for name in ("chi", "vperp", "vpar")})
+    arrays[field] = value
+    with pytest.raises(ValueError, match=match):
+        StaticQubitHamiltonian(n, **arrays)
+
+
+def test_static_accepts_integer_entries():
+    """Integer entries are numbers and still decode."""
+    h = StaticQubitHamiltonian(1, [2], [0], [[0]], [[0]], [[0]])
+    assert h.eps.dtype == float and h.eps[0] == 2.0

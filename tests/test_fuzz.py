@@ -1,25 +1,37 @@
-"""Bounded property fuzz of the graph JSON and Pauli text readers.
+"""Bounded property fuzz of the graph JSON, Pauli text, circuit text and
+pulse CSV readers.
 
 Valid documents must round-trip bit-exactly; any other input must either
 parse or raise ValueError (which the CLI reports as exit 2), never another
-exception. Pauli headers stay small so no input asks for a huge register.
+exception. Pauli headers stay small so no input asks for a huge register;
+parsed circuits and pulses are evaluated only on a few wires.
 """
 from __future__ import annotations
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walkforge import (
+    Circuit,
+    FundamentalPulse,
+    Gate,
     PauliHamiltonian,
     PauliString,
     WalkGraph,
+    circuit_from_text,
+    circuit_to_text,
     graph_from_json,
     graph_to_json,
     hamiltonian_from_text,
     hamiltonian_to_text,
+    pulses_from_csv,
+    pulses_to_csv,
+    replay_pulses,
+    unitary,
 )
+from walkforge.circuit import _GATES
 
 _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -100,3 +112,102 @@ def test_pauli_text_round_trips(h):
 )
 def test_pauli_text_accepts_or_raises_value_error(text):
     _parses_or_value_error(hamiltonian_from_text, text)
+
+
+@st.composite
+def _circuits(draw) -> Circuit:
+    n, a = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    w = n + a
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(sorted(_GATES)))
+        n_wires, n_params, _ = _GATES[kind]
+        k = draw(st.integers(2, max(2, w))) if n_wires is None else n_wires
+        if k > w:
+            continue
+        qubits = tuple(draw(st.permutations(range(1, w + 1)))[:k])
+        pols = ()
+        if n_wires is None:
+            pols = tuple(draw(st.lists(st.integers(0, 1), min_size=k - 1, max_size=k - 1)))
+        if kind == "CRK":
+            params = (float(draw(st.integers(1, 2000) | st.just(10**300))),)
+        else:
+            params = tuple(draw(st.lists(_FINITE, min_size=n_params, max_size=n_params)))
+        gates.append(Gate(kind, qubits, params, pols))
+    return Circuit(n, a, tuple(gates))
+
+
+_CIRCUIT_TOKENS = st.sampled_from(
+    sorted(_GATES) + ["q1", "q2", "q3", "q0", "+q1", "-q2", "+q3", "q", "0.5", "-1", "2", "1e300", "nan", "x"]
+)
+_CIRCUIT_TEXT = st.tuples(
+    st.integers(-1, 3),
+    st.integers(-1, 2),
+    st.lists(st.lists(_CIRCUIT_TOKENS, min_size=1, max_size=5).map(" ".join), max_size=4),
+).map(lambda t: f"QUBITS {t[0]} ANCILLAS {t[1]}\n" + "\n".join(t[2]))
+
+
+@_SETTINGS
+@given(_circuits())
+def test_circuit_text_round_trips(c):
+    text = circuit_to_text(c)
+    assert circuit_from_text(text) == c
+    assert circuit_to_text(circuit_from_text(text)) == text
+
+
+@_SETTINGS
+@given(_CIRCUIT_TEXT | st.text(max_size=40))
+@example("QUBITS 2 ANCILLAS 0\nCRK q1 q2 1e300")
+def test_circuit_text_accepts_or_raises_value_error(text):
+    """A circuit that parses also round-trips and evaluates (on at most five wires)."""
+    try:
+        c = circuit_from_text(text)
+    except ValueError:
+        return
+    assert circuit_from_text(circuit_to_text(c)) == c
+    if c.n_wires <= 5:
+        unitary(c)
+
+
+_DURATIONS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _pulses(draw) -> tuple[FundamentalPulse, ...]:
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        term = draw(st.sampled_from(["eps", "delta", "vperp"]))
+        k = 2 if term == "vperp" else 1
+        qubits = tuple(draw(st.permutations(range(1, 5)))[:k])
+        out.append(FundamentalPulse(term, qubits, draw(_FINITE), draw(_DURATIONS)))
+    return tuple(out)
+
+
+_CSV_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["eps", "delta", "vperp", "zz", ""]),
+        st.sampled_from(["1", "2", "3", "0", "-1", "1 2", "2 1", "1 1", "1 3", "1.5", "x", ""]),
+        st.sampled_from(["1", "0.5", "-2", "nan", "inf", "x", ""]),
+        st.sampled_from(["0", "0.25", "-0.1", "1e400", "x", ""]),
+    ).map(",".join),
+    max_size=4,
+)
+
+
+@_SETTINGS
+@given(_pulses())
+def test_pulse_csv_round_trips(pulses):
+    text = pulses_to_csv(pulses)
+    assert pulses_from_csv(text) == pulses
+    assert pulses_to_csv(pulses_from_csv(text)) == text
+
+
+@_SETTINGS
+@given(_CSV_ROWS.map(lambda rows: "term,qubits,strength,duration\n" + "\n".join(rows)) | st.text(max_size=40))
+def test_pulse_csv_accepts_or_raises_value_error(text):
+    """Parsed pulses replay on two wires or are refused there with ValueError."""
+    try:
+        pulses = pulses_from_csv(text)
+        replay_pulses(pulses, 2)
+    except ValueError:
+        pass

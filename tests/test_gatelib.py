@@ -251,3 +251,18 @@ def test_fundamental_pulse_validation():
         FundamentalPulse("vperp", (1,), 1.0, 0.1)
     with pytest.raises(ValueError, match="nonnegative"):
         FundamentalPulse("delta", (1,), 1.0, -0.1)
+
+
+@pytest.mark.parametrize(
+    "term, qubits, match",
+    [
+        ("eps", (0,), "1-based"),
+        ("eps", (-1,), "1-based"),
+        ("vperp", (0, 1), "1-based"),
+        ("vperp", (1, 1), "distinct"),
+    ],
+)
+def test_fundamental_pulse_rejects_bad_wires(term, qubits, match):
+    """Wire 0 and negative wires are refused, not read as the last wire."""
+    with pytest.raises(ValueError, match=match):
+        FundamentalPulse(term, qubits, 1.0, 0.1)

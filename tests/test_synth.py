@@ -459,6 +459,28 @@ def test_pulse_csv_rejects_bad_header():
         pulses_from_csv("kind,qubits,strength,duration\n")
 
 
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ("eps,0,1,1", "1-based"),
+        ("eps,-1,1,1", "1-based"),
+        ("vperp,1 1,1,1", "distinct"),
+        ("eps,1\r2,1,1", "malformed pulse csv"),
+    ],
+)
+def test_pulse_csv_rejects_bad_wires(rows, match):
+    """Bad wire fields and unreadable rows are refused as ValueError."""
+    with pytest.raises(ValueError, match=match):
+        pulses_from_csv(f"term,qubits,strength,duration\n{rows}\n")
+
+
+def test_replay_rejects_wire_beyond_register():
+    """A pulse on a wire past n_wires is refused, not an IndexError."""
+    pulses = pulses_from_csv("term,qubits,strength,duration\neps,5,1,0.5\n")
+    with pytest.raises(ValueError, match="beyond the 2 wires"):
+        replay_pulses(pulses, 2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_qft_named_gates_matches_reference(n):
     """The named-gate build equals the DFT matrix up to global phase."""
