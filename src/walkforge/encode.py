@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString, hop_string, projector_string
+from .pauli import PauliHamiltonian, PauliString, _symmetric_decomposition
 from .walkgraph import WalkGraph, build_line
 
 __all__ = [
@@ -102,24 +102,18 @@ def encode_single_excitation(g: WalkGraph) -> PauliHamiltonian:
 
 
 def encode_binary(g: WalkGraph, spec: EncodingSpec | None = None) -> PauliHamiltonian:
-    """Binary encoding: node j at basis state |label_j>, hops via hop_string.
-
-    H = sum_j eps_j * projector(label_j) - sum_edges Delta_ij * hop(label_i,
-    label_j). Unlabeled basis states are exactly decoupled (zero rows).
-    """
+    """Binary encoding: the Pauli decomposition of walk_matrix(g) embedded with
+    node j at basis state |label_j>. Unlabeled basis states are exactly
+    decoupled (zero rows)."""
     if spec is not None and spec.scheme != "binary":
         raise ValueError("encode_binary needs a binary-scheme spec")
     labels = _binary_labels(g, spec)
     m = _check_labels(labels, g.n_nodes)
-    terms: list[tuple[complex, PauliString]] = []
-    for j, eps in enumerate(g.onsite):
-        if eps == 0.0:
-            continue
-        terms.extend((eps * c, s) for c, s in projector_string(labels[j]).terms)
+    index = [int(s, 2) for s in labels]
+    entries = [(index[j], index[j], eps) for j, eps in enumerate(g.onsite) if eps != 0.0]
     for i, j, delta in g.edges:
-        hop = hop_string(labels[i], labels[j])
-        terms.extend((-delta * c, s) for c, s in hop.terms)
-    return PauliHamiltonian(m, tuple(terms))
+        entries += [(index[i], index[j], -delta), (index[j], index[i], -delta)]
+    return _symmetric_decomposition(m, entries)
 
 
 def gray_labels(n_qubits: int) -> tuple[str, ...]:

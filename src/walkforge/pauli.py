@@ -3,18 +3,17 @@
 Conventions, fixed package-wide: qubit 1 is the leftmost (most significant)
 Kronecker factor, the up spin is bit 1 with tau^z|up> = +|up>, and a basis
 index is the integer value of the bit string (index 0 = all-down). In that
-index order Z = diag(-1, +1). Raising/lowering and projectors are derived:
-tau^+- = (X +- iY)/2, P_up = (I+Z)/2, P_down = (I-Z)/2.
+index order Z = diag(-1, +1) and Y = iXZ; the projectors are P_up = (I+Z)/2
+and P_down = (I-Z)/2.
 """
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import check_qubit_count
+from ._config import check_qubit_count, max_qubits
 
 __all__ = [
     "PauliString",
@@ -152,58 +151,60 @@ def _check_bits(bits: str, name: str) -> str:
     return bits
 
 
-def projector_string(bits: str) -> PauliHamiltonian:
-    """Projector |bits><bits| expanded into 2^M Pauli-Z strings of weight 2^-M."""
-    bits = _check_bits(bits, "projector label")
-    m = len(bits)
-    options = []
-    for b in bits:
-        sign = 0.5 if b == "1" else -0.5
-        options.append((("I", 0.5), ("Z", sign)))
+def _symmetric_decomposition(m: int, entries: list[tuple[int, int, float]]) -> PauliHamiltonian:
+    """Pauli coefficients tr(P A) / 2^m of the real symmetric 2^m x 2^m matrix A
+    with nonzero entries (row, col, value), both triangles listed.
+
+    The string with X/Y mask x and Z/Y mask z (qubit 1 the high bit) maps |k>
+    to i^{n_Y} (-1)^{|z| + |z & k|} |k ^ x>, n_Y = |x & z|, so per x-mask the
+    coefficients are a Walsh-Hadamard transform of d[k] = A[k, k ^ x];
+    symmetry makes the odd-n_Y ones vanish. The 2^m vector d bounds m to
+    twice the dense cap.
+    """
+    cap = max_qubits()
+    if m > 2 * cap:
+        raise ValueError(f"pauli decomposition on {m} qubits above twice the dense cap of {cap}")
+    dim = 1 << m
+    by_mask: dict[int, list[tuple[int, float]]] = {}
+    for row, col, value in entries:
+        by_mask.setdefault(row ^ col, []).append((row, value))
     terms = []
-    for combo in itertools.product(*options):
-        letters = "".join(l for l, _ in combo)
-        coeff = 1.0
-        for _, c in combo:
-            coeff *= c
-        terms.append((complex(coeff), PauliString(m, letters)))
+    for x, items in by_mask.items():
+        d = np.zeros(dim)
+        for row, value in items:
+            d[row] += value
+        for b in range(m):  # in place: d[z] <- sum_k (-1)^{|z & k|} d[k]
+            pairs = d.reshape(-1, 2, 1 << b)
+            low = pairs[:, 0].copy()
+            pairs[:, 0] += pairs[:, 1]
+            pairs[:, 1] = low - pairs[:, 1]
+        for z in np.flatnonzero(d).tolist():
+            n_y = (x & z).bit_count()
+            if n_y % 2 == 0:
+                sign = -1.0 if (n_y // 2 + z.bit_count()) % 2 else 1.0
+                letters = "".join("IXZY"[(x >> b & 1) | (z >> b & 1) << 1] for b in range(m)[::-1])
+                terms.append((sign * d[z] / dim, PauliString(m, letters)))
     return PauliHamiltonian(m, tuple(terms))
 
 
-def hop_string(z: str, w: str) -> PauliHamiltonian:
-    """Hermitian hop |z><w| + |w><z| expanded into Pauli strings.
+def projector_string(bits: str) -> PauliHamiltonian:
+    """Projector |bits><bits| decomposed into its 2^M I/Z strings of weight +-2^-M."""
+    bits = _check_bits(bits, "projector label")
+    k = int(bits, 2)
+    return _symmetric_decomposition(len(bits), [(k, k, 1.0)])
 
-    Positions where the bit values agree contribute projector factors; the
-    flipped positions contribute X/Y products in which only even numbers of Y
-    letters survive, with signs set by the i-bookkeeping of tau^+- factors.
-    """
+
+def hop_string(z: str, w: str) -> PauliHamiltonian:
+    """Hermitian hop |z><w| + |w><z| decomposed into Pauli strings of weight
+    +-2^{1-M}: X or Y (an even number of Y) where z and w differ, I or Z elsewhere."""
     z = _check_bits(z, "hop label")
     w = _check_bits(w, "hop label")
     if len(z) != len(w):
         raise ValueError("hop labels must have equal length")
     if z == w:
         raise ValueError("hop labels must differ; use projector_string for z == w")
-    m = len(z)
-    options = []
-    for bz, bw in zip(z, w):
-        if bz == bw:
-            sign = 0.5 if bz == "1" else -0.5
-            options.append((("I", 0.5 + 0j), ("Z", complex(sign))))
-        else:
-            # factor of |z_a><w_a|: tau^+ = (X + iY)/2 if z_a is up, else tau^-
-            ysign = 0.5j if bz == "1" else -0.5j
-            options.append((("X", 0.5 + 0j), ("Y", ysign)))
-    terms = []
-    for combo in itertools.product(*options):
-        letters = "".join(l for l, _ in combo)
-        coeff = 1 + 0j
-        for _, c in combo:
-            coeff *= c
-        # adding the conjugate transpose doubles the real part on each string
-        real = 2.0 * coeff.real
-        if abs(real) > MERGE_TOL:
-            terms.append((complex(real), PauliString(m, letters)))
-    return PauliHamiltonian(m, tuple(terms))
+    a, b = int(z, 2), int(w, 2)
+    return _symmetric_decomposition(len(z), [(a, b, 1.0), (b, a, 1.0)])
 
 
 def _format_coeff(c: complex) -> str:

@@ -46,7 +46,11 @@ class StateVector:
 
 
 def basis_state(dim: int, index: int) -> StateVector:
-    """The computational basis state |index> in a dim-dimensional space."""
+    """The basis state |index> of a dim-dimensional space; dim is at most
+    4^max_qubits(), the entry count of the largest dense matrix the cap allows."""
+    cap = 4 ** max_qubits()
+    if dim > cap:
+        raise ValueError(f"state dimension {dim} above the dense cap {cap}")
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
     amps = np.zeros(dim, dtype=complex)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import check_qubit_count
 from .circuit import Circuit, Gate, gate_conventions
 from .encode import encode_binary, line_qubit_hamiltonian
 from .gatelib import (
@@ -27,7 +28,7 @@ from .gatelib import (
     euler_decompose,
     expand_multicontrol,
 )
-from .pauli import PauliHamiltonian, PauliString, to_matrix
+from .pauli import PauliHamiltonian, PauliString
 from .sim import exact_propagator
 from .walkgraph import WalkGraph
 
@@ -455,30 +456,27 @@ def circuit_to_pulses(c: Circuit, strengths: PulseStrengths) -> tuple[Fundamenta
     return tuple(pulses)
 
 
-def _pulse_generator(p: FundamentalPulse, n_wires: int) -> PauliHamiltonian:
-    letters = ["I"] * n_wires
-    if p.term == "eps":
-        letters[p.qubits[0] - 1] = "Z"
-        coeff = p.strength
-    elif p.term == "delta":
-        letters[p.qubits[0] - 1] = "X"
-        coeff = -p.strength
-    else:
-        letters[p.qubits[0] - 1] = "X"
-        letters[p.qubits[1] - 1] = "X"
-        coeff = -p.strength
-    return PauliHamiltonian(n_wires, ((coeff, PauliString(n_wires, "".join(letters))),))
-
-
 def replay_pulses(pulses: tuple[FundamentalPulse, ...], n_wires: int) -> np.ndarray:
-    """Exact propagator product of the pulse schedule, earliest pulse first."""
-    dim = 1 << n_wires
-    u = np.eye(dim, dtype=complex)
+    """Exact propagator product of the pulse schedule, earliest pulse first.
+
+    A pulse runs one Pauli string P (eps: +strength Z, delta: -strength X,
+    vperp: -strength XX), so its propagator is exactly cos a I - i sin a P
+    with a = coefficient * duration; Z = diag(-1, +1) acts on rows as signs,
+    X and XX as a gather at the flipped index."""
+    check_qubit_count(n_wires, "pulse replay")
+    rows = np.arange(1 << n_wires)
+    u = np.eye(1 << n_wires, dtype=complex)
     for p in pulses:
         if max(p.qubits) > n_wires:
             raise ValueError(f"{p.term} pulse on wire {max(p.qubits)} beyond the {n_wires} wires")
-        h = to_matrix(_pulse_generator(p, n_wires))
-        u = exact_propagator(h, p.duration) @ u
+        mask = sum(1 << (n_wires - q) for q in p.qubits)
+        if p.term == "eps":
+            angle = p.strength * p.duration
+            pu = np.where(rows & mask, 1.0, -1.0)[:, None] * u
+        else:
+            angle = -p.strength * p.duration
+            pu = u[rows ^ mask]
+        u = np.cos(angle) * u - 1j * np.sin(angle) * pu
     return u
 
 

@@ -241,6 +241,36 @@ def test_simulate_circuit_file(tmp_path, capsys):
     np.testing.assert_allclose(amps, [[1 / math.sqrt(2), 0.0]] * 2, atol=1e-12)
 
 
+def test_simulate_refuses_a_circuit_too_wide_to_hold(tmp_path, capsys):
+    """A 40-wire circuit is refused with exit 2 before its 2^40 amplitudes are allocated."""
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("QUBITS 40 ANCILLAS 0\nX q1\n")
+    code, out, err = _run(["simulate", "--circuit", str(cpath)], capsys)
+    assert code == 2 and out == ""
+    assert "state dimension 1099511627776 above the dense cap" in err
+
+
+def test_simulate_circuit_width_bound_is_twice_the_cap(tmp_path, capsys, monkeypatch):
+    """With a cap of 2 qubits, 4 wires still simulate and 5 are refused."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", "2")
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("QUBITS 4 ANCILLAS 0\nX q4\n")
+    code, out, _ = _run(["simulate", "--circuit", str(cpath)], capsys)
+    assert code == 0 and json.loads(out)["amps"][1] == [1.0, 0.0]
+    cpath.write_text("QUBITS 5 ANCILLAS 0\nX q5\n")
+    code, _, err = _run(["simulate", "--circuit", str(cpath)], capsys)
+    assert code == 2 and "above the dense cap 16" in err
+
+
+def test_encode_refuses_labels_too_wide_to_decompose(tmp_path, capsys):
+    """40-bit labels are refused with exit 2, not a 2^40 allocation."""
+    gpath = tmp_path / "g.json"
+    labels = ["0" * 40, "1" * 40]
+    gpath.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1.0]], "onsite": [0, 0], "labels": labels}))
+    code, out, err = _run(["encode", str(gpath), "--scheme", "binary"], capsys)
+    assert code == 2 and out == "" and "pauli decomposition on 40 qubits" in err
+
+
 def test_simulate_needs_one_source(tmp_path, capsys):
     """Both or neither of --graph/--circuit is a usage error."""
     gpath = _write_graph(tmp_path, ["--kind", "line", "--n", "2"])

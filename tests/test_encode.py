@@ -1,6 +1,8 @@
 """Walk-to-qubit encodings checked against dense matrix restrictions."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,60 @@ def test_encode_binary_hypercube_merges_to_single_x():
         (-0.5, PauliString(3, "IXI")),
         (-0.5, PauliString(3, "XII")),
     )
+
+
+_ONE_QUBIT = {
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": np.array([[0.0, 1.0j], [-1.0j, 0.0]]),
+    "Z": np.diag([-1.0, 1.0]),
+}
+
+
+def _trace_coefficients(e: np.ndarray, m: int) -> dict[str, complex]:
+    """tr(P E) / 2^m over all 4^m Kronecker-built strings P, qubit 1 leftmost."""
+    out = {}
+    for letters in itertools.product("IXYZ", repeat=m):
+        p = np.eye(1)
+        for letter in letters:
+            p = np.kron(p, _ONE_QUBIT[letter])
+        out["".join(letters)] = np.trace(p @ e) / 2**m
+    return out
+
+
+def _label_sets(n: int, m: int) -> list[tuple[tuple[str, ...], EncodingSpec | None]]:
+    """Index labels (no spec), random sparse m-bit labels, and Gray labels when n = 2^m."""
+    width = max(1, (n - 1).bit_length())
+    sparse = tuple(format(int(k), f"0{m}b") for k in rng.choice(2**m, size=n, replace=False))
+    sets = [(tuple(format(j, f"0{width}b") for j in range(n)), None), (sparse, EncodingSpec("binary", sparse))]
+    if n == 2**m:
+        sets.append((gray_labels(m), EncodingSpec("binary", gray_labels(m))))
+    return sets
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (6, 4), (11, 4), (16, 4)])
+def test_encode_binary_matches_trace_oracle(n, m):
+    """Every coefficient is tr(P E) / 2^m of the walk matrix E embedded at the labels."""
+    for labels, spec in _label_sets(n, m):
+        g = _random_graph(n)
+        w = len(labels[0])
+        idx = [int(s, 2) for s in labels]
+        e = np.zeros((2**w, 2**w))
+        e[np.ix_(idx, idx)] = walk_matrix(g)
+        want = {k: c for k, c in _trace_coefficients(e, w).items() if abs(c) > 1e-14}
+        got = {s.letters: c for c, s in encode_binary(g, spec).terms}
+        assert set(got) == set(want)
+        tol = 1e-15 * max(1.0, float(np.max(np.abs(e))))
+        assert max(abs(got[k] - want[k]) for k in want) <= tol
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_encode_binary_hypercube_is_exact(m):
+    """The m-cube merges to exactly m single-X strings of coefficient exactly -delta."""
+    for delta in rng.normal(size=5):
+        h = encode_binary(build_hypercube(m, float(delta)))
+        assert len(h.terms) == m
+        assert all(c == -delta and s.letters.count("X") == 1 for c, s in h.terms)
 
 
 def test_encode_binary_embeds_walk_matrix():

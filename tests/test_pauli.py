@@ -14,6 +14,7 @@ from walkforge import (
     projector_string,
     to_matrix,
 )
+from walkforge.pauli import _symmetric_decomposition
 
 rng = np.random.default_rng(31415)
 
@@ -170,6 +171,27 @@ def test_hop_string_random_labels():
         want = np.zeros((1 << m, 1 << m))
         want[int(z, 2), int(w, 2)] = want[int(w, 2), int(z, 2)] = 1.0
         np.testing.assert_allclose(h, want, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_symmetric_decomposition_round_trips(m):
+    """to_matrix of the decomposition reproduces random sparse real-symmetric matrices."""
+    dim = 1 << m
+    for density in (0.1, 0.3, 1.0):
+        a = np.triu(np.where(rng.random((dim, dim)) < density, rng.normal(size=(dim, dim)), 0.0))
+        a = a + np.triu(a, 1).T
+        rows, cols = np.nonzero(a)
+        h = _symmetric_decomposition(m, [(int(r), int(c), a[r, c]) for r, c in zip(rows, cols)])
+        assert h.is_hermitian(0.0)
+        assert np.max(np.abs(to_matrix(h) - a), initial=0.0) <= 1e-15 * max(1.0, np.max(np.abs(a)))
+
+
+def test_decomposition_refuses_above_twice_the_dense_cap(monkeypatch):
+    """The 2^m working vector is bounded like a state: m at most twice the cap."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", "2")
+    assert len(projector_string("1010").terms) == 16
+    with pytest.raises(ValueError, match="pauli decomposition on 5 qubits above twice the dense cap of 2"):
+        hop_string("10101", "00000")
 
 
 def test_hop_string_rejects_equal_labels():

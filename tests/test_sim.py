@@ -202,3 +202,11 @@ def test_dense_cap_applies_to_every_propagator(monkeypatch):
         exact_propagator(walk_matrix(g), 1.0)
     with pytest.raises(ValueError, match="above the dense cap 4"):
         evolve_walk(g, basis_state(8, 0), 1.0)
+
+
+def test_basis_state_refuses_above_the_largest_dense_matrix(monkeypatch):
+    """A state may have as many entries as the largest dense matrix the cap allows, no more."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", "2")
+    assert basis_state(16, 15).dim == 16
+    with pytest.raises(ValueError, match="state dimension 17 above the dense cap 16"):
+        basis_state(17, 0)

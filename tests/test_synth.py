@@ -9,6 +9,7 @@ import pytest
 from walkforge import (
     Circuit,
     EncodingSpec,
+    FundamentalPulse,
     Gate,
     PauliHamiltonian,
     PauliString,
@@ -479,6 +480,41 @@ def test_replay_rejects_wire_beyond_register():
     pulses = pulses_from_csv("term,qubits,strength,duration\neps,5,1,0.5\n")
     with pytest.raises(ValueError, match="beyond the 2 wires"):
         replay_pulses(pulses, 2)
+
+
+def _eigh_replay(pulses: tuple[FundamentalPulse, ...], n_wires: int) -> np.ndarray:
+    """Pulse replay by eigendecomposition of each Kronecker-built pulse Hamiltonian."""
+    coeff = {"eps": 1.0, "delta": -1.0, "vperp": -1.0}
+    letter = {"eps": np.diag([-1.0, 1.0]), "delta": _X, "vperp": _X}
+    u = np.eye(1 << n_wires, dtype=complex)
+    for p in pulses:
+        h = _kron(*(letter[p.term] if q in p.qubits else np.eye(2) for q in range(1, n_wires + 1)))
+        u = exact_propagator(coeff[p.term] * p.strength * h, p.duration) @ u
+    return u
+
+
+@pytest.mark.parametrize("n_wires", [1, 2, 3, 4])
+def test_replay_matches_eigh_replay(n_wires):
+    """The closed-form replay equals the eigendecomposition replay on random schedules."""
+    terms = ["eps", "delta", "vperp"] if n_wires > 1 else ["eps", "delta"]
+    for _ in range(25):
+        pulses = []
+        for _ in range(int(rng.integers(0, 12))):
+            term = str(rng.choice(terms))
+            wires = rng.choice(np.arange(1, n_wires + 1), size=2 if term == "vperp" else 1, replace=False)
+            pulses.append(
+                FundamentalPulse(term, tuple(int(q) for q in wires), rng.uniform(-2, 2), rng.uniform(0, 3))
+            )
+        want = _eigh_replay(tuple(pulses), n_wires)
+        assert np.max(np.abs(replay_pulses(tuple(pulses), n_wires) - want)) <= 1e-13
+
+
+def test_replay_refuses_above_the_dense_cap(monkeypatch):
+    """Replay checks the qubit cap before it allocates the identity."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", "2")
+    assert replay_pulses((FundamentalPulse("vperp", (1, 2), 1.0, 0.5),), 2).shape == (4, 4)
+    with pytest.raises(ValueError, match="pulse replay needs 3 qubits, above the dense cap of 2"):
+        replay_pulses((), 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
