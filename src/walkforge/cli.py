@@ -8,6 +8,7 @@ bit-exactly through their parsers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -340,6 +341,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args makes a fresh namespace per call
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="walkforge", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)

@@ -164,13 +164,9 @@ def matrix_to_walk(h: PauliHamiltonian) -> WalkGraph:
         raise ValueError("not a stoquastic-form walk; complex amplitudes unsupported")
     real = mat.real
     dim = real.shape[0]
-    edges = []
-    for j in range(dim):
-        for i in range(j + 1, dim):
-            if abs(real[j, i]) > _EDGE_TOL * scale:
-                edges.append((j, i, float(-real[j, i])))
-    onsite = tuple(float(real[j, j]) for j in range(dim))
-    return WalkGraph(dim, tuple(edges), onsite, _index_labels(dim))
+    rows, cols = np.nonzero(np.triu(np.abs(real) > _EDGE_TOL * scale, 1))  # row-major: (j, i), j < i
+    edges = zip(rows.tolist(), cols.tolist(), (-real[rows, cols]).tolist())
+    return WalkGraph(dim, tuple(edges), tuple(real.diagonal().tolist()), _index_labels(dim))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,9 @@ __all__ = [
 ]
 
 _LETTERS = frozenset("IXYZ")
-_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i^n at index n
+_X_BITS = str.maketrans("IXYZ", "0110")  # letters -> X/Y mask digits
+_Z_BITS = str.maketrans("IXYZ", "0011")  # letters -> Z/Y mask digits
 MERGE_TOL = 1e-14
 
 # single-qubit products: (a, b) -> (phase, letter) with a*b = phase*letter
@@ -95,14 +97,17 @@ class PauliHamiltonian:
         if self.m_qubits < 1:
             raise ValueError("hamiltonian needs at least one qubit")
         merged: dict[str, complex] = {}
+        unphased: dict[str, PauliString] = {}  # caller strings reusable as canonical
         for coeff, string in self.terms:
             if string.m_qubits != self.m_qubits:
                 raise ValueError("term size does not match hamiltonian size")
             merged[string.letters] = merged.get(string.letters, 0j) + complex(coeff) * string.phase
+            if string.phase == 1:
+                unphased[string.letters] = string
         if not all(map(cmath.isfinite, merged.values())):
             raise ValueError("pauli coefficients must be finite")
         canon = tuple(
-            (c, PauliString(self.m_qubits, letters))
+            (c, unphased[letters] if letters in unphased else PauliString(self.m_qubits, letters))
             for letters, c in sorted(merged.items())
             if abs(c) > MERGE_TOL
         )
@@ -121,26 +126,41 @@ class PauliHamiltonian:
 
 
 def to_matrix(h: PauliHamiltonian) -> np.ndarray:
-    """Dense 2^m x 2^m realization under the package basis conventions."""
+    """Dense 2^m x 2^m realization under the package basis conventions.
+
+    The inverse of `_symmetric_decomposition`: the canonical (phase 1) term
+    c with X/Y mask x and Z/Y mask z (qubit 1 the high bit) maps |k> to
+    a[z] (-1)^{|z & k|} |k ^ x>, a[z] = c i^{|x & z|} (-1)^{|z|}, so per x-mask
+    the column values d[k] = sum_z a[z] (-1)^{|z & k|} are one Walsh-Hadamard
+    transform, written to out[k ^ x, k]. One 2^m vector is live at a time.
+    """
     m = h.m_qubits
     check_qubit_count(m, "dense pauli matrix")
     dim = 1 << m
+    by_mask: dict[int, list[tuple[int, complex]]] = {}
+    for coeff, string in h.terms:
+        x = int(string.letters.translate(_X_BITS), 2)
+        z = int(string.letters.translate(_Z_BITS), 2)
+        quarter_turns = (x & z).bit_count() + 2 * z.bit_count()
+        by_mask.setdefault(x, []).append((z, coeff * _PHASES[quarter_turns % 4]))
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for coeff, string in h.terms:
-        xmask = 0
-        vals = np.full(dim, coeff * string.phase)
-        for q, letter in enumerate(string.letters):
-            bit = (cols >> (m - 1 - q)) & 1
-            if letter == "X":
-                xmask |= 1 << (m - 1 - q)
-            elif letter == "Y":
-                xmask |= 1 << (m - 1 - q)
-                vals = vals * np.where(bit == 1, 1j, -1j)
-            elif letter == "Z":
-                vals = vals * np.where(bit == 1, 1.0, -1.0)
-        out[cols ^ xmask, cols] += vals
+    for x, items in by_mask.items():
+        d = np.zeros(dim, dtype=complex)
+        zs, values = zip(*items)
+        d[list(zs)] = values
+        _walsh_hadamard(d, m)
+        out[cols ^ x, cols] = d
     return out
+
+
+def _walsh_hadamard(d: np.ndarray, m: int) -> None:
+    """In place over the 2^m vector d: d[z] <- sum_k (-1)^{|z & k|} d[k]."""
+    for b in range(m):
+        pairs = d.reshape(-1, 2, 1 << b)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = low - pairs[:, 1]
 
 
 def _check_bits(bits: str, name: str) -> str:
@@ -149,6 +169,14 @@ def _check_bits(bits: str, name: str) -> str:
     if set(bits) - {"0", "1"}:
         raise ValueError(f"{name} must contain only '0' (down) and '1' (up)")
     return bits
+
+
+def _check_width(m: int, what: str) -> None:
+    """Bound a register that is never realized densely by twice the dense cap,
+    the widest state vector the cap allows."""
+    cap = max_qubits()
+    if m > 2 * cap:
+        raise ValueError(f"{what} on {m} qubits above twice the dense cap of {cap}")
 
 
 def _symmetric_decomposition(m: int, entries: list[tuple[int, int, float]]) -> PauliHamiltonian:
@@ -161,9 +189,7 @@ def _symmetric_decomposition(m: int, entries: list[tuple[int, int, float]]) -> P
     symmetry makes the odd-n_Y ones vanish. The 2^m vector d bounds m to
     twice the dense cap.
     """
-    cap = max_qubits()
-    if m > 2 * cap:
-        raise ValueError(f"pauli decomposition on {m} qubits above twice the dense cap of {cap}")
+    _check_width(m, "pauli decomposition")
     dim = 1 << m
     by_mask: dict[int, list[tuple[int, float]]] = {}
     for row, col, value in entries:
@@ -173,11 +199,7 @@ def _symmetric_decomposition(m: int, entries: list[tuple[int, int, float]]) -> P
         d = np.zeros(dim)
         for row, value in items:
             d[row] += value
-        for b in range(m):  # in place: d[z] <- sum_k (-1)^{|z & k|} d[k]
-            pairs = d.reshape(-1, 2, 1 << b)
-            low = pairs[:, 0].copy()
-            pairs[:, 0] += pairs[:, 1]
-            pairs[:, 1] = low - pairs[:, 1]
+        _walsh_hadamard(d, m)
         for z in np.flatnonzero(d).tolist():
             n_y = (x & z).bit_count()
             if n_y % 2 == 0:
@@ -232,6 +254,7 @@ def hamiltonian_from_text(text: str) -> PauliHamiltonian:
     if not lines or not lines[0].startswith("QUBITS "):
         raise ValueError("pauli text must start with a 'QUBITS m' header")
     m = int(lines[0].split()[1])
+    _check_width(m, "pauli text")
     terms = []
     for ln in lines[1:]:
         if "*" not in ln:

@@ -3,10 +3,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import walkforge
 from walkforge import (
     EncodingSpec,
     circuit_from_text,
@@ -27,6 +32,15 @@ def _run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _fresh(argv):
+    """Run ``python -m walkforge`` in a new process with only ``src`` on the path."""
+    env = os.environ | {"PYTHONPATH": str(Path(walkforge.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "walkforge", *argv], capture_output=True, text=True, env=env, check=False
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def _write_graph(tmp_path, argv_tail, name="g.json"):
@@ -441,3 +455,38 @@ def test_simulate_crk_huge_order_is_the_identity(tmp_path, capsys):
     cpath.write_text("QUBITS 2 ANCILLAS 0\nCRK q1 q2 1e300\n")
     code, out, _ = _run(["simulate", "--circuit", str(cpath), "--state", "3"], capsys)
     assert code == 0 and json.loads(out)["amps"] == [[0.0, 0.0]] * 3 + [[1.0, 0.0]]
+
+
+def test_decode_refuses_a_huge_qubits_header(tmp_path, capsys):
+    """A QUBITS header far above the cap exits 2 before any term is read."""
+    path = tmp_path / "h.txt"
+    path.write_text("QUBITS 10000000000\n1 * X1\n")
+    code, out, err = _run(["decode", str(path)], capsys)
+    assert code == 2 and out == "" and "pauli text on 10000000000 qubits" in err
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    """The parser is built once per process; no default or error state leaks
+    from one call into the next."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("QUBITS 2\n1 + X1\n")
+    good = tmp_path / "good.txt"
+    good.write_text(hamiltonian_to_text(encode_binary(walkforge.build_cycle(3))))
+    calls = [
+        ["chain", "xy", "--n", "3", "--j", "0.5", "0.7"],
+        ["chain", "xy", "--n", "3"],
+        ["decode", str(bad)],
+        ["decode", str(good)],
+    ]
+    in_process = [_run(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0]
+    assert in_process == [_fresh(argv) for argv in calls]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """``python -m walkforge`` is the same command line as the console script."""
+    argv = ["graph", "build", "--kind", "cycle", "--n", "4"]
+    code, out, err = _fresh(argv)
+    assert (code, err) == (0, "")
+    assert out == _run(argv, capsys)[1]
+    assert graph_from_json(out) == walkforge.build_cycle(4)

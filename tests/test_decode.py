@@ -10,7 +10,9 @@ from walkforge import (
     PauliString,
     StaticQubitHamiltonian,
     WalkGraph,
+    XYChain,
     encode_binary,
+    excitation_graph,
     matrix_to_walk,
     pulse_to_walk_edges,
     static_to_pauli,
@@ -128,6 +130,41 @@ def test_matrix_to_walk_reads_conventions():
     np.testing.assert_allclose(g.onsite, (-0.5, 0.5), atol=1e-14)
     assert len(g.edges) == 1
     np.testing.assert_allclose(g.edges[0][2], 0.25, atol=1e-14)
+
+
+def _scan_edges(mat: np.ndarray) -> tuple[list[tuple[int, int, float]], list[float], float]:
+    """Entry-by-entry reading of a dense walk matrix, upper triangle row by row."""
+    real = mat.real
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    edges = []
+    for j in range(real.shape[0]):
+        for i in range(j + 1, real.shape[0]):
+            if abs(real[j, i]) > 1e-12 * scale:
+                edges.append((j, i, float(-real[j, i])))
+    return edges, [float(real[j, j]) for j in range(real.shape[0])], scale
+
+
+def _random_graph(n: int, p: float) -> WalkGraph:
+    edges = tuple((i, j, float(rng.normal())) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
+    return WalkGraph(n, edges, tuple(rng.normal(size=n)))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [_random_graph(n, p) for n, p in ((5, 0.5), (12, 0.3), (20, 0.6), (32, 0.1))]
+    + [excitation_graph(XYChain(6, tuple(rng.uniform(0.5, 1.5, size=5)), 0.3), 3)]
+    + [excitation_graph(XYChain(7, 1.0, 0.0), k) for k in (2, 3)],
+)
+def test_matrix_to_walk_matches_the_entry_scan(graph):
+    """The vectorized read keeps the entry-by-entry edge order, pairs and values."""
+    h = encode_binary(graph)
+    want_edges, want_onsite, scale = _scan_edges(to_matrix(h))
+    g = matrix_to_walk(h)
+    assert [(j, i) for j, i, _ in g.edges] == [(j, i) for j, i, _ in want_edges]
+    np.testing.assert_allclose([w for *_, w in g.edges], [w for *_, w in want_edges], rtol=0, atol=1e-15 * scale)
+    np.testing.assert_allclose(g.onsite, want_onsite, rtol=0, atol=1e-15 * scale)
+    m = h.m_qubits
+    assert g.labels == tuple(format(j, f"0{m}b") for j in range(1 << m))
 
 
 def test_matrix_to_walk_rejects_complex_amplitudes():

@@ -1,18 +1,23 @@
 """Pauli string algebra, dense realization, and the text serialization."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from walkforge import (
     PauliHamiltonian,
     PauliString,
+    build_hypercube,
+    encode_binary,
     hamiltonian_from_text,
     hamiltonian_to_text,
     hop_string,
     multiply,
     projector_string,
     to_matrix,
+    walk_matrix,
 )
 from walkforge.pauli import _symmetric_decomposition
 
@@ -135,6 +140,51 @@ def test_to_matrix_against_kron_oracle():
         np.testing.assert_allclose(to_matrix(h), want, atol=1e-13)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_to_matrix_shared_x_masks_against_kron_oracle(m):
+    """Many strings per X/Y mask, complex coefficients, every string phase and
+    the identity string: the per-mask transform equals the summed Kronecker
+    products."""
+    every = ["".join(p) for p in itertools.product("IXYZ", repeat=m)]
+    for n_terms in (len(every) // 4 + 1, len(every)):
+        letters = ["I" * m] + list(rng.choice(every, size=n_terms, replace=False))
+        terms = tuple(
+            (complex(rng.normal(), rng.normal()), PauliString(m, l, complex(rng.choice([1, -1, 1j, -1j]))))
+            for l in letters
+        )
+        want = sum(coeff * _dense(s) for coeff, s in terms)
+        np.testing.assert_allclose(to_matrix(PauliHamiltonian(m, terms)), want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_to_matrix_one_term_per_x_mask_is_exact(m):
+    """Hypercube hops, one string per X mask, are realized bit for bit."""
+    g = build_hypercube(m, 0.37)
+    got = to_matrix(encode_binary(g))
+    assert np.array_equal(got, walk_matrix(g))
+    assert np.all(got[got != 0] == -0.37)
+
+
+def test_to_matrix_refuses_above_the_dense_cap(monkeypatch):
+    """The dense realization obeys the qubit cap."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", "2")
+    assert to_matrix(PauliHamiltonian(2, ((1.0, PauliString(2, "XZ")),))).shape == (4, 4)
+    with pytest.raises(ValueError, match="dense pauli matrix needs 3 qubits, above the dense cap of 2"):
+        to_matrix(PauliHamiltonian(3, ((1.0, PauliString(3, "XZY")),)))
+
+
+def test_hamiltonian_reuses_unphased_strings():
+    """Canonical terms keep the caller's phase-1 string; phased ones are rebuilt."""
+    plain = PauliString(2, "XZ")
+    phased = PauliString(2, "ZY", -1j)
+    h = PauliHamiltonian(2, ((0.5, plain), (2.0, phased)))
+    assert h.terms[0][1] is plain
+    assert h.terms[1] == (-2j, PauliString(2, "ZY"))
+    assert h.terms[1][1].phase == 1
+    merged = PauliHamiltonian(2, ((1.0, PauliString(2, "XX", -1)), (3.0, PauliString(2, "XX"))))
+    assert merged.terms == ((2.0, PauliString(2, "XX")),)
+
+
 def test_projector_string_dense():
     """projector_string('10') is the rank-1 projector onto basis index 2."""
     p = to_matrix(projector_string("10"))
@@ -240,6 +290,20 @@ def test_text_rejects_missing_header():
     """Pauli text must start with the QUBITS header."""
     with pytest.raises(ValueError, match="QUBITS"):
         hamiltonian_from_text("1.0 * X1")
+
+
+def test_text_header_bound_is_twice_the_dense_cap(monkeypatch):
+    """A QUBITS header above twice the cap is refused; up to it, text parses."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", "2")
+    assert hamiltonian_from_text("QUBITS 4\n1 * X4\n").m_qubits == 4
+    with pytest.raises(ValueError, match="pauli text on 5 qubits above twice the dense cap of 2"):
+        hamiltonian_from_text("QUBITS 5\n1 * X1\n")
+
+
+def test_text_header_bound_checked_before_terms():
+    """A huge header is refused before any term line is read."""
+    with pytest.raises(ValueError, match="pauli text on 10000000000 qubits"):
+        hamiltonian_from_text("QUBITS 10000000000\nnot a term\n")
 
 
 def test_text_rejects_malformed_term():
