@@ -1,178 +1,25 @@
 """walkforge: continuous-time quantum walks as qubit Hamiltonians,
-gate circuits, and pulse schedules, with dense oracles for every mapping."""
+gate circuits, and pulse schedules, with dense oracles for every mapping.
+
+The package exports the union of its library modules' ``__all__`` lists.
+"""
 from __future__ import annotations
 
-from .circuit import (
-    Circuit,
-    Gate,
-    ancilla_ground_block,
-    apply,
-    circuit_from_text,
-    circuit_to_text,
-    gate_conventions,
-    unitary,
-)
-from .decode import (
-    PulseWalkEdges,
-    StaticQubitHamiltonian,
-    matrix_to_walk,
-    pulse_to_walk_edges,
-    static_to_pauli,
-    static_to_walk,
-)
-from .encode import (
-    EncodingSpec,
-    encode_binary,
-    encode_single_excitation,
-    gray_labels,
-    hyperlattice_qubit_hamiltonian,
-    line_position,
-    line_qubit_hamiltonian,
-)
-from .gatelib import (
-    FundamentalPulse,
-    decompose_cnot,
-    decompose_controlled_rk,
-    decompose_controlled_rx,
-    decompose_cphase,
-    decompose_swap,
-    decompose_toffoli,
-    euler_decompose,
-    expand_multicontrol,
-)
-from .pauli import (
-    PauliHamiltonian,
-    PauliString,
-    hamiltonian_from_text,
-    hamiltonian_to_text,
-    hop_string,
-    multiply,
-    projector_string,
-    to_matrix,
-)
-from .sim import StateVector, basis_state, evolve_walk, exact_propagator, fidelity, unitary_distance
-from .spinchain import (
-    JordanWignerResult,
-    XYChain,
-    collapse_defect,
-    collapse_to_line,
-    distance_layers,
-    excitation_graph,
-    jordan_wigner_walk,
-    xy_hamiltonian,
-)
-from .synth import (
-    PulseStrengths,
-    Schedule,
-    TrotterPlan,
-    build_qft_circuit,
-    circuit_to_pulses,
-    expand_to_basic,
-    pulses_from_csv,
-    pulses_to_csv,
-    qft_reference,
-    replay_pulses,
-    synth_line_walk_step,
-    synth_onsite,
-    synth_pauli_evolution,
-    time_sliced,
-    to_fundamental,
-    trotterize,
-    uniform_strengths,
-)
-from .walkgraph import (
-    Hyperlattice,
-    WalkGraph,
-    band_energy,
-    build_cycle,
-    build_hypercube,
-    build_hyperlattice_graph,
-    build_line,
-    graph_from_json,
-    graph_to_json,
-    walk_matrix,
-)
+from . import circuit, decode, encode, gatelib, pauli, sim, spinchain, synth, walkgraph
+from .circuit import *  # noqa: F401,F403
+from .decode import *  # noqa: F401,F403
+from .encode import *  # noqa: F401,F403
+from .gatelib import *  # noqa: F401,F403
+from .pauli import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
+from .spinchain import *  # noqa: F401,F403
+from .synth import *  # noqa: F401,F403
+from .walkgraph import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circuit",
-    "EncodingSpec",
-    "FundamentalPulse",
-    "Gate",
-    "Hyperlattice",
-    "JordanWignerResult",
-    "PauliHamiltonian",
-    "PauliString",
-    "PulseStrengths",
-    "PulseWalkEdges",
-    "Schedule",
-    "StateVector",
-    "StaticQubitHamiltonian",
-    "TrotterPlan",
-    "WalkGraph",
-    "XYChain",
-    "ancilla_ground_block",
-    "apply",
-    "band_energy",
-    "basis_state",
-    "build_cycle",
-    "build_hypercube",
-    "build_hyperlattice_graph",
-    "build_line",
-    "build_qft_circuit",
-    "circuit_from_text",
-    "circuit_to_pulses",
-    "circuit_to_text",
-    "collapse_defect",
-    "collapse_to_line",
-    "decompose_cnot",
-    "decompose_controlled_rk",
-    "decompose_controlled_rx",
-    "decompose_cphase",
-    "decompose_swap",
-    "decompose_toffoli",
-    "distance_layers",
-    "encode_binary",
-    "encode_single_excitation",
-    "euler_decompose",
-    "evolve_walk",
-    "exact_propagator",
-    "excitation_graph",
-    "expand_multicontrol",
-    "expand_to_basic",
-    "fidelity",
-    "gate_conventions",
-    "graph_from_json",
-    "graph_to_json",
-    "gray_labels",
-    "hamiltonian_from_text",
-    "hamiltonian_to_text",
-    "hop_string",
-    "hyperlattice_qubit_hamiltonian",
-    "jordan_wigner_walk",
-    "line_position",
-    "line_qubit_hamiltonian",
-    "matrix_to_walk",
-    "multiply",
-    "projector_string",
-    "pulse_to_walk_edges",
-    "pulses_from_csv",
-    "pulses_to_csv",
-    "qft_reference",
-    "replay_pulses",
-    "static_to_pauli",
-    "static_to_walk",
-    "synth_line_walk_step",
-    "synth_onsite",
-    "synth_pauli_evolution",
-    "time_sliced",
-    "to_fundamental",
-    "to_matrix",
-    "trotterize",
-    "unitary",
-    "unitary_distance",
-    "uniform_strengths",
-    "walk_matrix",
-    "xy_hamiltonian",
-]
+__all__ = sorted({
+    name
+    for module in (circuit, decode, encode, gatelib, pauli, sim, spinchain, synth, walkgraph)
+    for name in module.__all__
+})

@@ -246,9 +246,31 @@ def _unitary_report(label: str, got: np.ndarray, want: np.ndarray) -> tuple[str,
     return label, dev, [f"phase = {_fmt(phase)}", f"worst entry = row {bits[row]} col {bits[col]}"]
 
 
+def _mcx_gate(controls: int) -> Gate:
+    return Gate("MCX", tuple(range(1, controls + 2)), (), (1,) * controls)
+
+
+# verify kind -> (circuit builder, oracle matrix), each a function of the parsed
+# arguments; the lambdas look library names up at call time
+_VERIFY_KINDS = {
+    "cnot": (lambda a: decompose_cnot(), lambda a: gate_conventions()["CNOT"]),
+    "toffoli": (lambda a: decompose_toffoli(), lambda a: gate_conventions()["TOFFOLI"]),
+    "swap": (lambda a: decompose_swap(), lambda a: gate_conventions()["SWAP"]),
+    "crk": (lambda a: decompose_controlled_rk(a.k), lambda a: gate_conventions()["CRK"](a.k)),
+    "crx": (
+        lambda a: decompose_controlled_rx(a.eps),
+        lambda a: gate_conventions()["CRX"](2.0 * a.eps),
+    ),
+    "mcx": (
+        lambda a: expand_multicontrol(_mcx_gate(a.controls), a.controls + 1),
+        lambda a: unitary(Circuit(a.controls + 1, 0, (_mcx_gate(a.controls),))),
+    ),
+    "qft": (lambda a: build_qft_circuit(a.n, "fundamental"), lambda a: qft_reference(a.n)),
+}
+
+
 def _verify_deviation(args) -> tuple[str, float, list[str]]:
     """Label, max deviation and the diagnostic lines printed after it."""
-    conv = gate_conventions()
     if args.kind == "encode":
         if args.random:
             rng = np.random.default_rng(args.seed)
@@ -266,18 +288,7 @@ def _verify_deviation(args) -> tuple[str, float, list[str]]:
     elif args.kind is None:
         raise ValueError("verify needs a circuit file or --kind")
     else:
-        c = {
-            "cnot": decompose_cnot,
-            "toffoli": decompose_toffoli,
-            "swap": decompose_swap,
-            "crk": lambda: decompose_controlled_rk(args.k),
-            "crx": lambda: decompose_controlled_rx(args.eps),
-            "qft": lambda: build_qft_circuit(args.n, "fundamental"),
-            "mcx": lambda: expand_multicontrol(
-                Gate("MCX", tuple(range(1, args.controls + 2)), (), (1,) * args.controls),
-                args.controls + 1,
-            ),
-        }[args.kind]()
+        c = _VERIFY_KINDS[args.kind][0](args)
     got = ancilla_ground_block(unitary(c), c.n_ancillas)
 
     if args.against == "exact":
@@ -290,25 +301,7 @@ def _verify_deviation(args) -> tuple[str, float, list[str]]:
 
     if args.kind is None:
         raise ValueError("verify --against oracle needs --kind")
-    targets = {
-        "cnot": lambda: conv["CNOT"],
-        "toffoli": lambda: conv["TOFFOLI"],
-        "swap": lambda: conv["SWAP"],
-        "crk": lambda: conv["CRK"](args.k),
-        "crx": lambda: conv["CRX"](2.0 * args.eps),
-        "qft": lambda: qft_reference(args.n),
-        "mcx": lambda: ancilla_ground_block(
-            unitary(
-                Circuit(
-                    args.controls + 1,
-                    0,
-                    (Gate("MCX", tuple(range(1, args.controls + 2)), (), (1,) * args.controls),),
-                )
-            ),
-            0,
-        ),
-    }
-    return _unitary_report(args.kind, got, targets[args.kind]())
+    return _unitary_report(args.kind, got, _VERIFY_KINDS[args.kind][1](args))
 
 
 def _cmd_verify(args) -> int:
@@ -408,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--against", choices=["oracle", "exact"], default="oracle")
     v.add_argument(
         "--kind",
-        choices=["cnot", "toffoli", "swap", "crk", "crx", "mcx", "qft", "encode"],
+        choices=[*_VERIFY_KINDS, "encode"],
         help="named oracle; omit when checking a circuit file --against exact",
     )
     v.add_argument("--n", type=int, default=3)

@@ -123,33 +123,19 @@ def static_to_walk(h: StaticQubitHamiltonian) -> WalkGraph:
     n = h.n_qubits
     check_qubit_count(n, "static decode")
     dim = 1 << n
-    bits = ((np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(float)
-    signs = 1.0 - 2.0 * bits  # (-1)^{j_a} per node and qubit
-    onsite = signs @ h.eps
-    for a in range(n):
-        for b in range(a + 1, n):
-            onsite = onsite + signs[:, a] * signs[:, b] * h.vpar[a, b]
-    edges: list[tuple[int, int, float]] = []
-    for j in range(dim):
-        for a in range(n):
-            i = j ^ (1 << (n - 1 - a))
-            if i < j:
-                continue
-            w = h.delta[a]
-            for c in range(n):
-                if c != a:
-                    w += signs[j, c] * h.chi[c, a]
-            if abs(w) > _EDGE_TOL:
-                edges.append((j, i, float(w)))
-        for a in range(n):
-            for b in range(a + 1, n):
-                i = j ^ (1 << (n - 1 - a)) ^ (1 << (n - 1 - b))
-                if i < j:
-                    continue
-                w = h.vperp[a, b]
-                if abs(w) > _EDGE_TOL:
-                    edges.append((j, i, float(w)))
-    return WalkGraph(dim, tuple(edges), tuple(float(e) for e in onsite), _index_labels(dim))
+    nodes = np.arange(dim)[:, None]
+    bit = 1 << np.arange(n - 1, -1, -1)  # qubit a's bit in a node index
+    signs = np.where(nodes & bit, -1.0, 1.0)  # (-1)^{j_a} per node and qubit
+    a, b = np.triu_indices(n, 1)
+    onsite = signs @ h.eps + (signs[:, a] * signs[:, b]) @ h.vpar[a, b]
+    # one column per flip: the n single flips (chi's zero diagonal drops c = a),
+    # then the pairs a < b in row-major order
+    flips = np.concatenate([bit, bit[a] | bit[b]])
+    weights = np.hstack([h.delta + signs @ h.chi, np.broadcast_to(h.vperp[a, b], (dim, a.size))])
+    targets = nodes ^ flips
+    j, k = np.nonzero((targets > nodes) & (np.abs(weights) > _EDGE_TOL))
+    edges = zip(j.tolist(), targets[j, k].tolist(), weights[j, k].tolist())
+    return WalkGraph(dim, tuple(edges), tuple(onsite.tolist()), _index_labels(dim))
 
 
 def matrix_to_walk(h: PauliHamiltonian) -> WalkGraph:

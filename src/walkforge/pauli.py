@@ -32,17 +32,6 @@ _X_BITS = str.maketrans("IXYZ", "0110")  # letters -> X/Y mask digits
 _Z_BITS = str.maketrans("IXYZ", "0011")  # letters -> Z/Y mask digits
 MERGE_TOL = 1e-14
 
-# single-qubit products: (a, b) -> (phase, letter) with a*b = phase*letter
-_PRODUCT: dict[tuple[str, str], tuple[complex, str]] = {}
-for _l in "IXYZ":
-    _PRODUCT[("I", _l)] = (1 + 0j, _l)
-    _PRODUCT[(_l, "I")] = (1 + 0j, _l)
-    _PRODUCT[(_l, _l)] = (1 + 0j, "I")
-for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
-    _PRODUCT[(_a, _b)] = (1j, _c)
-    _PRODUCT[(_b, _a)] = (-1j, _c)
-
-
 @dataclass(frozen=True)
 class PauliString:
     """Tensor product of I/X/Y/Z letters with a unit phase from {1, -1, i, -i}."""
@@ -68,17 +57,32 @@ class PauliString:
         return tuple(q + 1 for q, l in enumerate(self.letters) if l != "I")
 
 
+def _masks(letters: str) -> tuple[int, int]:
+    """X/Y mask and Z/Y mask of a letter string, qubit 1 the high bit."""
+    return int(letters.translate(_X_BITS), 2), int(letters.translate(_Z_BITS), 2)
+
+
+def _letters(m: int, x: int, z: int) -> str:
+    """The m letters with X/Y mask x and Z/Y mask z; inverse of _masks."""
+    return "".join("IXZY"[(x >> b & 1) | (z >> b & 1) << 1] for b in range(m)[::-1])
+
+
 def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product a*b with tracked phase, e.g. X*Y = iZ."""
+    """Product a*b with tracked phase, e.g. X*Y = iZ.
+
+    With Y = iXZ a string with masks (x, z) is i^{|x & z|} X^x Z^z, and
+    Z^za X^xb = (-1)^{|za & xb|} X^xb Z^za, so the product has masks
+    (xa ^ xb, za ^ zb) and the phase follows from the popcounts.
+    """
     if a.m_qubits != b.m_qubits:
         raise ValueError("pauli strings act on different register sizes")
-    phase = a.phase * b.phase
-    letters = []
-    for la, lb in zip(a.letters, b.letters):
-        ph, lc = _PRODUCT[(la, lb)]
-        phase *= ph
-        letters.append(lc)
-    return PauliString(a.m_qubits, "".join(letters), phase)
+    xa, za = _masks(a.letters)
+    xb, zb = _masks(b.letters)
+    x, z = xa ^ xb, za ^ zb
+    turns = (xa & za).bit_count() + (xb & zb).bit_count() + 2 * (za & xb).bit_count()
+    turns -= (x & z).bit_count()
+    phase = a.phase * b.phase * _PHASES[turns % 4]
+    return PauliString(a.m_qubits, _letters(a.m_qubits, x, z), phase)
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,7 @@ def to_matrix(h: PauliHamiltonian) -> np.ndarray:
     dim = 1 << m
     by_mask: dict[int, list[tuple[int, complex]]] = {}
     for coeff, string in h.terms:
-        x = int(string.letters.translate(_X_BITS), 2)
-        z = int(string.letters.translate(_Z_BITS), 2)
+        x, z = _masks(string.letters)
         quarter_turns = (x & z).bit_count() + 2 * z.bit_count()
         by_mask.setdefault(x, []).append((z, coeff * _PHASES[quarter_turns % 4]))
     out = np.zeros((dim, dim), dtype=complex)
@@ -204,8 +207,7 @@ def _symmetric_decomposition(m: int, entries: list[tuple[int, int, float]]) -> P
             n_y = (x & z).bit_count()
             if n_y % 2 == 0:
                 sign = -1.0 if (n_y // 2 + z.bit_count()) % 2 else 1.0
-                letters = "".join("IXZY"[(x >> b & 1) | (z >> b & 1) << 1] for b in range(m)[::-1])
-                terms.append((sign * d[z] / dim, PauliString(m, letters)))
+                terms.append((sign * d[z] / dim, PauliString(m, _letters(m, x, z))))
     return PauliHamiltonian(m, tuple(terms))
 
 

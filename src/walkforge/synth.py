@@ -16,7 +16,7 @@ import numpy as np
 
 from ._config import check_qubit_count
 from .circuit import Circuit, Gate, gate_conventions
-from .encode import encode_binary, line_qubit_hamiltonian
+from .encode import encode_binary
 from .gatelib import (
     FundamentalPulse,
     decompose_cnot,
@@ -408,15 +408,21 @@ def _need(strength: float, what: str) -> float:
     return strength
 
 
+# fundamental gate kind -> (always-on term, angle sign, divisor): a gate of
+# angle a runs its term for ((sign * a) mod 2 pi) / (divisor * strength)
+_PULSE_RULES = {"RX": ("delta", -1.0, 2.0), "RZ": ("eps", 1.0, 2.0), "XX": ("vperp", 1.0, 1.0)}
+
+
 def circuit_to_pulses(c: Circuit, strengths: PulseStrengths) -> tuple[FundamentalPulse, ...]:
     """Compile a fundamental circuit into timed pulses of the always-on terms.
 
-    Angles become durations: RX(gamma) on wire j runs the X term for
-    -gamma/(2 delta_j) (with gamma -> gamma - 2 pi whenever the raw duration
-    would be negative; the leftover is a global sign), RZ(theta) runs the Z
-    term for theta/(2 eps_j) (theta -> theta + 2 pi likewise), XX(chi) runs
-    the pair term for chi/vperp (chi -> chi + 2 pi, exactly phase-free).
-    GPHASE gates are dropped. Replay matches unitary(c) up to global phase.
+    Angles become durations, reduced modulo 2 pi so every duration is
+    nonnegative: RX(gamma) on wire j runs the X term for
+    (-gamma mod 2 pi)/(2 delta_j), RZ(theta) runs the Z term for
+    (theta mod 2 pi)/(2 eps_j), XX(chi) runs the pair term for
+    (chi mod 2 pi)/vperp. A 2 pi shift changes at most the global sign.
+    GPHASE gates and zero angles are dropped. Replay matches unitary(c) up
+    to global phase.
     """
     if strengths.eps.size != c.n_wires:
         raise ValueError("strengths sized for a different wire count")
@@ -424,35 +430,17 @@ def circuit_to_pulses(c: Circuit, strengths: PulseStrengths) -> tuple[Fundamenta
     for g in c.gates:
         if g.kind == "GPHASE":
             continue
-        if g.kind == "RX":
-            gamma = g.params[0]
-            if gamma == 0.0:
-                continue
-            j = g.qubits[0]
-            d = _need(float(strengths.delta[j - 1]), f"delta on wire {j}")
-            if gamma > 0.0:
-                gamma -= 2.0 * _PI
-            pulses.append(FundamentalPulse("delta", (j,), d, -gamma / (2.0 * d)))
-        elif g.kind == "RZ":
-            theta = g.params[0]
-            if theta == 0.0:
-                continue
-            j = g.qubits[0]
-            e = _need(float(strengths.eps[j - 1]), f"eps on wire {j}")
-            if theta < 0.0:
-                theta += 2.0 * _PI
-            pulses.append(FundamentalPulse("eps", (j,), e, theta / (2.0 * e)))
-        elif g.kind == "XX":
-            chi = g.params[0]
-            if chi == 0.0:
-                continue
-            i, j = g.qubits
-            v = _need(float(strengths.vperp[i - 1, j - 1]), f"vperp on wires {i},{j}")
-            if chi < 0.0:
-                chi += 2.0 * _PI
-            pulses.append(FundamentalPulse("vperp", (i, j), v, chi / v))
-        else:
+        if g.kind not in _PULSE_RULES:
             raise ValueError(f"gate {g.kind} is outside the fundamental set")
+        angle = g.params[0]
+        if angle == 0.0:
+            continue
+        term, sign, divisor = _PULSE_RULES[g.kind]
+        where = f"wire {g.qubits[0]}" if len(g.qubits) == 1 else "wires {},{}".format(*g.qubits)
+        strength = getattr(strengths, term)[tuple(q - 1 for q in g.qubits)]
+        strength = _need(float(strength), f"{term} on {where}")
+        duration = ((sign * angle) % (2.0 * _PI)) / (divisor * strength)
+        pulses.append(FundamentalPulse(term, g.qubits, strength, duration))
     return tuple(pulses)
 
 

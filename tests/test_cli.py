@@ -182,6 +182,25 @@ def test_verify_builtin_cnot(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["cnot"], ["toffoli"], ["swap"], ["crk"], ["crx"], ["mcx", "--controls", "3"], ["qft", "--n", "3"]],
+)
+def test_verify_every_builtin_kind_passes(argv, capsys):
+    """Each named oracle kind builds its circuit and passes against its own oracle."""
+    code, out, _ = _run(["verify", "--kind", *argv], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == f"kind = {argv[0]}"
+    assert out.splitlines()[-1] == "PASS"
+
+
+def test_verify_kind_choices(capsys):
+    """verify --help lists the named kinds in their documented order."""
+    code, out, _ = _run(["verify", "--help"], capsys)
+    assert code == 0
+    assert "{cnot,toffoli,swap,crk,crx,mcx,qft,encode}" in out
+
+
 def test_verify_reports_phase_and_worst_entry(tmp_path, capsys):
     """After the deviation line, verify prints the global phase it used and the
     entry where the deviation occurs, as row and column bit labels."""
@@ -338,6 +357,19 @@ def test_synth_line_step_round_trips(tmp_path, capsys):
     capsys.readouterr()
     text = cpath.read_text()
     assert circuit_to_text(circuit_from_text(text)) == text
+
+
+def test_synth_trotter_pulses_with_angles_beyond_two_pi(tmp_path, capsys):
+    """A long single Trotter step has gate angles past 2 pi; its pulses still compile."""
+    gpath = _write_graph(tmp_path, ["--kind", "cycle", "--n", "4", "--delta", "-1"])
+    ppath = tmp_path / "p.csv"
+    code, _, err = _run(
+        ["synth", "trotter", "--graph", str(gpath), "--t", "20", "--steps", "1",
+         "--out", str(tmp_path / "c.txt"), "--pulses", str(ppath)],
+        capsys,
+    )
+    assert code == 0, err
+    assert all(float(row.split(",")[3]) >= 0.0 for row in ppath.read_text().splitlines()[1:])
 
 
 def test_synth_trotter_needs_graph(capsys):

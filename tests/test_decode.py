@@ -88,6 +88,47 @@ def test_static_to_walk_three_qubit_edge_pattern():
     np.testing.assert_allclose(weights[(0, 4)], want, atol=1e-12)
 
 
+def _static_to_walk_by_node(h: StaticQubitHamiltonian):
+    """The closed form walked node by node: (edges, onsite) in the documented order."""
+    n = h.n_qubits
+    signs = [[1.0 - 2.0 * (j >> (n - 1 - a) & 1) for a in range(n)] for j in range(1 << n)]
+    edges, onsite = [], []
+    for j, s in enumerate(signs):
+        e = sum(s[a] * h.eps[a] for a in range(n))
+        onsite.append(e + sum(s[a] * s[b] * h.vpar[a, b] for a in range(n) for b in range(a + 1, n)))
+        for a in range(n):
+            w = h.delta[a] + sum(s[c] * h.chi[c, a] for c in range(n) if c != a)
+            if j ^ (1 << (n - 1 - a)) > j and abs(w) > 1e-14:
+                edges.append((j, j ^ (1 << (n - 1 - a)), w))
+        for a in range(n):
+            for b in range(a + 1, n):
+                i = j ^ (1 << (n - 1 - a)) ^ (1 << (n - 1 - b))
+                if i > j and abs(h.vperp[a, b]) > 1e-14:
+                    edges.append((j, i, h.vperp[a, b]))
+    return edges, onsite
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_static_to_walk_matches_the_node_by_node_closed_form(n):
+    """Same edge keys in the same order as the per-node closed form, and the
+    same weights and energies to rounding, with some couplings switched off."""
+    local = np.random.default_rng(1000 + n)
+    chi, vperp, vpar = (local.normal(size=(n, n)) for _ in range(3))
+    vperp, vpar = vperp + vperp.T, vpar + vpar.T
+    vperp[:, n // 2] = vperp[n // 2, :] = 0.0
+    delta = local.normal(size=n)
+    delta[0], chi[:, 0] = 0.0, 0.0  # no single-flip edges on qubit 1
+    for m in (chi, vperp, vpar):
+        np.fill_diagonal(m, 0.0)
+    h = StaticQubitHamiltonian(n, local.normal(size=n), delta, chi, vperp, vpar)
+    g = static_to_walk(h)
+    edges, onsite = _static_to_walk_by_node(h)
+    assert [e[:2] for e in g.edges] == [e[:2] for e in edges]
+    tol = 1e-14 * max(1.0, float(np.max(np.abs(walk_matrix(g)))))
+    np.testing.assert_allclose([e[2] for e in g.edges], [e[2] for e in edges], rtol=0, atol=tol)
+    np.testing.assert_allclose(g.onsite, onsite, rtol=0, atol=tol)
+
+
 def test_static_to_walk_labels_are_bit_strings():
     """Node labels spell the basis configurations."""
     g = static_to_walk(_random_static(2))

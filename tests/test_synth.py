@@ -402,6 +402,24 @@ def test_pulse_z_rotation_duration():
     np.testing.assert_allclose(pulses[0].duration, 3 * math.pi / 4, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "kind, angle", [("RX", 7.0), ("RZ", -7.0), ("XX", -7.0), ("RX", 40.0), ("RZ", 1e6)]
+)
+def test_pulse_angles_reduce_modulo_two_pi(kind, angle):
+    """Angles needing more than one 2 pi shift compile to nonnegative durations
+    that replay to the gate up to phase. Reducing modulo the float 2 pi is off
+    by (number of wraps) * (2 pi - fl(2 pi)), about 2e-11 for 1e6 but below the
+    angle's own resolution, so the bound grows to one ulp of the angle."""
+    gate = Gate(kind, (1, 2) if kind == "XX" else (2,), (angle,))
+    c = Circuit(2, 0, (gate,))
+    strengths = uniform_strengths(2, 0.7)
+    pulses = circuit_to_pulses(c, strengths)
+    assert len(pulses) == 1 and pulses[0].duration >= 0.0
+    assert pulses[0].strength * pulses[0].duration < 2.0 * math.pi
+    tol = max(1e-12, float(np.spacing(angle)))
+    assert unitary_distance(replay_pulses(pulses, 2), unitary(c)) <= tol
+
+
 def test_pulse_replay_cnot():
     """The pulse schedule of the lowered CNOT replays to CNOT up to phase."""
     from walkforge import decompose_cnot
