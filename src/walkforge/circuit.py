@@ -7,8 +7,16 @@ the data wires, so wire indices run 1..n_qubits+n_ancillas.
 
 Gate kinds: RX, RY, RZ, H, X, APHASE (diag(1, e^{-i eps})), CNOT, SWAP,
 TOFFOLI, CRK (diag(1,1,1,e^{i 2 pi/2^k})), CPHASE, XX (exp(+i chi X@X)),
-CRX, MCX/MCRX with per-control polarities, and GPHASE (scalar e^{i phi},
-used to keep decompositions exactly equal to their targets).
+CRX, MCX/MCRX with per-control polarities, and GPHASE (scalar e^{i phi} on
+no wire, used to keep decompositions exactly equal to their targets).
+
+unitary and apply share one evaluator. Gates whose matrix has one nonzero per
+column (the permutations X, CNOT, SWAP, TOFFOLI, MCX and the phases RZ,
+APHASE, CPHASE, CRK, GPHASE, found by inspecting the gate table) only relabel
+and phase basis states: a run of them composes into one index map, applied to
+the amplitudes as a single gather, so permutation circuits stay exactly 0/1.
+A one-wire dense gate is one strided matmul; wider dense gates contract their
+wires' axes.
 """
 from __future__ import annotations
 
@@ -160,9 +168,14 @@ def _multicontrol(polarities: tuple[int, ...], core: np.ndarray) -> np.ndarray:
     return u
 
 
+def _gphase(phi: float) -> np.ndarray:
+    return np.array([[np.exp(1j * phi)]])
+
+
 # kind -> (wires, params, matrix). None wires = any number of controls before
 # the target, and the matrix is then the target block. A matrix is an array
-# or a builder taking the gate's one parameter; GPHASE is applied by _run.
+# or a builder taking the gate's one parameter; GPHASE acts on no wire and
+# its 1 x 1 matrix is the scalar e^{i phi}.
 _GATES: dict[str, tuple[int | None, int, object]] = {
     "RX": (1, 1, _rx),
     "RY": (1, 1, _ry),
@@ -179,8 +192,21 @@ _GATES: dict[str, tuple[int | None, int, object]] = {
     "TOFFOLI": (3, 0, _TOFFOLI),
     "MCX": (None, 0, _X),
     "MCRX": (None, 1, _rx),
-    "GPHASE": (0, 1, None),
+    "GPHASE": (0, 1, _gphase),
 }
+
+
+def _is_monomial(mat) -> bool:
+    """One nonzero per column, judged at a generic parameter for builders."""
+    if callable(mat):
+        mat = mat(0.618)
+    return bool(np.all(np.count_nonzero(mat, axis=0) == 1))
+
+
+# Kinds that only relabel basis states and phase them: _run composes these
+# as index maps instead of multiplying matrices. A multi-control gate is
+# monomial exactly when its target block is.
+_MONOMIAL = frozenset(kind for kind, (_, _, mat) in _GATES.items() if _is_monomial(mat))
 
 
 def gate_conventions() -> dict[str, object]:
@@ -196,7 +222,7 @@ def gate_conventions() -> dict[str, object]:
         "T": lambda k: np.diag([1.0, np.exp(2j * np.pi * 2.0**-k)]),
     }
     for kind, (n_wires, _, mat) in _GATES.items():
-        if n_wires:  # multi-controls and GPHASE have no fixed-size matrix
+        if n_wires:  # multi-controls have no fixed-size matrix; GPHASE acts on no wire
             out[kind] = mat.copy() if isinstance(mat, np.ndarray) else mat
     return out
 
@@ -208,25 +234,87 @@ def _gate_matrix(g: Gate) -> np.ndarray:
     return mat if n_wires is not None else _multicontrol(g.polarities, mat)
 
 
+def _compose(dest: np.ndarray, phase: np.ndarray | None, g: Gate, mat: np.ndarray, w: int):
+    """Follow the map j -> (dest[j], phase[j]) by the monomial gate g.
+
+    dest is updated in place; the new phases are returned, None while all are 1.
+    """
+    cols = np.arange(len(mat))
+    rows = (mat != 0).argmax(0)  # each column's one nonzero
+    local = np.zeros(len(dest), dtype=dest.dtype)  # the gate's matrix index of each dest
+    flips = np.zeros(len(cols), dtype=dest.dtype)  # per matrix column, the basis-index bits it flips
+    for i, q in enumerate(g.qubits):
+        local = (local << 1) | ((dest >> (w - q)) & 1)
+        flips |= (((cols ^ rows) >> (len(g.qubits) - 1 - i)) & 1) << (w - q)
+    if flips.any():
+        dest ^= flips[local]
+    values = mat[rows, cols]
+    if (values != 1).any():
+        phase = values[local] if phase is None else phase * values[local]
+    return phase
+
+
+def _gather(psi: np.ndarray, dest: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
+    """out[dest[j]] = phase[j] * psi[j] for every row j, as one gather."""
+    src = np.empty_like(dest)
+    src[dest] = np.arange(len(dest))
+    out = np.take(psi, src, axis=0)
+    if phase is not None:
+        out *= np.take(phase, src)[:, None]
+    return out
+
+
+def _dense(psi: np.ndarray, g: Gate, mat: np.ndarray, w: int) -> np.ndarray:
+    """Multiply the gate's matrix into its wires' axes of a (2^w, batch) block."""
+    if len(g.qubits) == 1:
+        t = psi.reshape(1 << (g.qubits[0] - 1), 2, -1)
+        # matmul makes one BLAS call per index of the axis left out of the
+        # 2 x n core, so leave out the shorter of the outer two: for a state
+        # vector and a wire near the end of the register that is the last.
+        core = (1, 2) if t.shape[0] <= t.shape[2] else (1, 0)
+        return np.matmul(mat, t, axes=[(0, 1), core, core]).reshape(psi.shape)
+    k = len(g.qubits)
+    src = [q - 1 for q in g.qubits]
+    batch = psi.shape[1]
+    t = psi.reshape([2] * w + [batch])
+    t = np.moveaxis(t, src, range(k))
+    t = mat @ t.reshape(1 << k, -1)
+    t = t.reshape([2] * k + [2] * (w - k) + [batch])
+    t = np.moveaxis(t, range(k), src)
+    return t.reshape(1 << w, batch)
+
+
 def _run(c: Circuit, block: np.ndarray) -> np.ndarray:
-    """Apply the circuit to a (2^w, batch) amplitude block, gate by gate."""
+    """Apply the circuit to a (2^w, batch) amplitude block, gate by gate.
+
+    Monomial gates compose into one pending map j -> (dest[j], phase[j]) over
+    the 2^w basis indices, at O(2^w) each; the block is gathered through the
+    map once per run of them, before the next dense gate and at the end.
+    """
     w = c.n_wires
-    batch = block.shape[1]
     psi = block
+    dest = phase = None
     for g in c.gates:
-        if g.kind == "GPHASE":
-            psi = psi * np.exp(1j * g.params[0])
-            continue
         mat = _gate_matrix(g)
-        k = len(g.qubits)
-        src = [q - 1 for q in g.qubits]
-        t = psi.reshape([2] * w + [batch])
-        t = np.moveaxis(t, src, range(k))
-        t = mat @ t.reshape(1 << k, -1)
-        t = t.reshape([2] * k + [2] * (w - k) + [batch])
-        t = np.moveaxis(t, range(k), src)
-        psi = t.reshape(1 << w, batch)
-    return psi
+        if g.kind in _MONOMIAL:
+            if dest is None:
+                dest, phase = np.arange(1 << w), None
+            phase = _compose(dest, phase, g, mat, w)
+            continue
+        if dest is not None:
+            psi, dest = _gather(psi, dest, phase), None
+        psi = _dense(psi, g, mat, w)
+    return psi if dest is None else _gather(psi, dest, phase)
+
+
+def _applications(gates: tuple[Gate, ...]) -> int:
+    """Passes _run makes over the block: one per dense gate, one per run of monomial gates."""
+    n, after_monomial = 0, False
+    for g in gates:
+        monomial = g.kind in _MONOMIAL
+        n += not (monomial and after_monomial)
+        after_monomial = monomial
+    return n
 
 
 def _repeated_block(gates: tuple[Gate, ...]) -> tuple[tuple[Gate, ...], int]:
@@ -238,13 +326,15 @@ def _repeated_block(gates: tuple[Gate, ...]) -> tuple[tuple[Gate, ...], int]:
     return gates, 1
 
 
-# About how many gate applications on the identity one 2^w x 2^w matmul costs,
-# by w (one BLAS thread, 2-core x86 host); beyond the table it doubles per wire.
-_MATMUL_IN_GATES = (0.5,) * 6 + (2.6, 3.6, 6.2, 13.4, 20.6, 20.6)
+# About how many applications (see _applications) on the identity one 2^w x 2^w
+# matmul costs, by w, priced as one-wire dense gates: a run of monomial gates
+# costs less, a dense gate on two wires more (one BLAS thread, 2-core x86
+# host); beyond the table it doubles per wire.
+_MATMUL_IN_GATES = (0.5,) * 6 + (2.6, 4.8, 9.0, 20.0, 40.0, 40.0)
 
 
 def _power_pays(p: int, reps: int, w: int) -> bool:
-    """Whether p gates plus at most 2 bit_length(reps) matmuls beat reps * p gates."""
+    """Whether p applications plus at most 2 bit_length(reps) matmuls beat reps * p."""
     last = len(_MATMUL_IN_GATES) - 1
     ratio = _MATMUL_IN_GATES[min(w, last)] * 2.0 ** max(0, w - last)
     return (reps - 1) * p > 2 * reps.bit_length() * ratio
@@ -260,7 +350,10 @@ def unitary(c: Circuit) -> np.ndarray:
     check_qubit_count(c.n_wires, "circuit unitary")
     dim = 1 << c.n_wires
     block, reps = _repeated_block(c.gates)
-    if not _power_pays(len(block), reps, c.n_wires):
+    p = _applications(block)
+    if reps > 1 and block[0].kind in _MONOMIAL and block[-1].kind in _MONOMIAL:
+        p -= 1  # the monomial runs at the block's two ends merge between repetitions
+    if not _power_pays(p, reps, c.n_wires):
         block, reps = c.gates, 1
     u = _run(replace(c, gates=block) if reps > 1 else c, np.eye(dim, dtype=complex))
     return np.linalg.matrix_power(u, reps)

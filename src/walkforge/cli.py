@@ -283,24 +283,24 @@ def _verify_deviation(args) -> tuple[str, float, list[str]]:
             raise ValueError("verify --kind encode needs --graph or --random")
         return f"encode {args.scheme}", _encode_deviation(_load_graph(args.graph), args.scheme), []
 
+    if not args.circuit and args.kind is None:
+        raise ValueError("verify needs a circuit file or --kind")
+    if args.against == "exact":
+        if not args.graph:
+            raise ValueError("verify --against exact needs --graph")
+        g = _load_graph(args.graph)
+    elif args.kind is None:
+        raise ValueError("verify --against oracle needs --kind")
     if args.circuit:
         c = circuit_from_text(Path(args.circuit).read_text())
-    elif args.kind is None:
-        raise ValueError("verify needs a circuit file or --kind")
     else:
         c = _VERIFY_KINDS[args.kind][0](args)
     got = ancilla_ground_block(unitary(c), c.n_ancillas)
 
     if args.against == "exact":
-        if not args.graph:
-            raise ValueError("verify --against exact needs --graph")
-        g = _load_graph(args.graph)
         h = encode_single_excitation(g) if args.scheme == "single" else encode_binary(g)
         want = exact_propagator(to_matrix(h), args.t)
         return _unitary_report(f"circuit vs exact propagator t={_fmt(args.t)}", got, want)
-
-    if args.kind is None:
-        raise ValueError("verify --against oracle needs --kind")
     return _unitary_report(args.kind, got, _VERIFY_KINDS[args.kind][1](args))
 
 

@@ -20,10 +20,12 @@ from walkforge import (
     circuit_from_text,
     circuit_to_text,
     encode_binary,
+    expand_multicontrol,
+    gate_conventions,
     trotterize,
     unitary,
 )
-from walkforge.circuit import _power_pays, _repeated_block, _run
+from walkforge.circuit import _MONOMIAL, _applications, _power_pays, _repeated_block, _run
 
 rng = np.random.default_rng(271828)
 
@@ -359,3 +361,118 @@ def test_power_rule_counts():
     assert _power_pays(935, 10, 7)  # one cycle(64) Trotter step, ten steps
     assert _power_pays(116, 2, 4)
     assert not _power_pays(2, 2, 2)
+
+
+def test_a_run_of_monomial_gates_is_one_application(monkeypatch):
+    """The power rule prices a run of permutation and phase gates as one pass,
+    so an all-monomial repeated circuit is one gather, not a matrix power."""
+    x, h, cnot, rz = Gate("X", (1,)), Gate("H", (1,)), Gate("CNOT", (1, 2)), Gate("RZ", (2,), (0.3,))
+    assert _applications((x, cnot, h, rz, h, cnot, rz)) == 5
+    assert _applications(()) == 0
+    powers = []
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda u, n: powers.append(n) or matrix_power(u, n))
+    c = Circuit(3, 0, (x, cnot, rz) * 16)
+    assert np.array_equal(unitary(c), _run(c, np.eye(8, dtype=complex)))
+    c = Circuit(3, 0, (x, h, cnot) * 16)
+    unitary(c)
+    assert powers == [1, 16]
+
+
+_KIND_WIRES = {
+    "RX": 1, "RY": 1, "RZ": 1, "H": 1, "X": 1, "APHASE": 1, "CNOT": 2, "SWAP": 2, "XX": 2,
+    "CPHASE": 2, "CRK": 2, "CRX": 2, "TOFFOLI": 3, "MCX": None, "MCRX": None, "GPHASE": 0,
+}
+_SPECIAL = (Gate("RX", (1,), (math.pi,)), Gate("RZ", (1,), (0.0,)), Gate("CRK", (1, 2), (2000.0,)))
+
+
+def _random_gate(kind: str, w: int, gen) -> Gate:
+    """A gate of this kind on random distinct wires in random order."""
+    n = _KIND_WIRES[kind]
+    n = int(gen.integers(2, w + 1)) if n is None else n
+    wires = tuple(int(q) + 1 for q in gen.permutation(w)[:n])
+    polarities = tuple(int(b) for b in gen.integers(0, 2, n - 1)) if kind in ("MCX", "MCRX") else ()
+    if kind == "CRK":
+        params = (float(gen.integers(1, 12)),)
+    elif kind in ("H", "X", "CNOT", "SWAP", "TOFFOLI", "MCX"):
+        params = ()
+    else:
+        params = (float(gen.uniform(-7.0, 7.0)),)
+    return Gate(kind, wires, params, polarities)
+
+
+def _oracle_gate(g: Gate, w: int) -> np.ndarray:
+    """Full-register matrix of one gate, entry by entry from gate_conventions()."""
+    if g.kind == "GPHASE":
+        return np.exp(1j * g.params[0]) * np.eye(1 << w)
+    conv = gate_conventions()
+    if g.kind in ("MCX", "MCRX"):
+        m = len(g.polarities)
+        local = np.eye(2 << m, dtype=complex)
+        on = sum(b << (m - i) for i, b in enumerate(g.polarities))
+        local[on:on + 2, on:on + 2] = conv["X"] if g.kind == "MCX" else conv["RX"](*g.params)
+    else:
+        local = conv[g.kind](*g.params) if g.params else conv[g.kind]
+    k = len(g.qubits)
+    full = np.zeros((1 << w, 1 << w), dtype=complex)
+    for j in range(1 << w):
+        col = 0
+        for q in g.qubits:
+            col = (col << 1) | ((j >> (w - q)) & 1)
+        for row in range(1 << k):
+            i = j
+            for b, q in enumerate(g.qubits):
+                bit = (row >> (k - 1 - b)) & 1
+                i = (i & ~(1 << (w - q))) | (bit << (w - q))
+            full[i, j] = local[row, col]
+    return full
+
+
+def _random_circuits():
+    gen = np.random.default_rng(314159)
+    kinds = list(_KIND_WIRES)
+    for case in range(8):
+        w = 3 + case % 3
+        picks = kinds + list(gen.choice(kinds, 8))  # every kind in every circuit
+        gates = [_random_gate(k, w, gen) for k in gen.permutation(picks)]
+        gates[2:2] = _SPECIAL
+        reps = 3 if case % 2 else 1  # odd cases repeat their block, so unitary may square up
+        yield pytest.param(Circuit(w, 0, tuple(gates) * reps), id=f"w{w}-x{reps}-{case}")
+
+
+@pytest.mark.parametrize("c", _random_circuits())
+def test_unitary_and_apply_match_an_index_loop_oracle(c):
+    """All 16 kinds, random wire orders and polarities, RX(pi), RZ(0) and an
+    underflowing CRK: unitary matches a product of gate_conventions() matrices
+    placed by explicit index loops, and apply matches unitary times the state."""
+    want = np.eye(1 << c.n_wires, dtype=complex)
+    for g in c.gates:
+        want = _oracle_gate(g, c.n_wires) @ want
+    u = unitary(c)
+    assert np.max(np.abs(u - want)) <= 1e-13
+    psi = rng.normal(size=1 << c.n_wires) + 1j * rng.normal(size=1 << c.n_wires)
+    assert np.max(np.abs(apply(c, psi) - u @ psi)) <= 1e-13
+
+
+def test_monomial_kinds_are_derived_from_the_gate_table():
+    """Exactly the kinds with one nonzero per column compose as index maps."""
+    assert _MONOMIAL == {"X", "CNOT", "SWAP", "TOFFOLI", "MCX", "RZ", "APHASE", "CPHASE", "CRK", "GPHASE"}
+
+
+def test_mcx_ladder_unitary_is_an_exact_permutation():
+    """The 4-control ladder evaluates to a 0/1 permutation matrix with no
+    ancilla leak at all, and its ground block is the MCX itself."""
+    g = Gate("MCX", (1, 2, 3, 4, 5), (), (1, 0, 1, 1))
+    c = expand_multicontrol(g, 5)
+    u = unitary(c)
+    perm = np.abs(u).argmax(axis=0)
+    assert sorted(perm) == list(range(len(u)))
+    assert np.array_equal(u, np.eye(len(u))[perm].T)
+    stride = 1 << c.n_ancillas
+    outside = np.ones(len(u), dtype=bool)
+    outside[::stride] = False
+    assert np.max(np.abs(u[outside][:, ::stride])) == 0.0
+    block = ancilla_ground_block(u, c.n_ancillas)
+    want = np.eye(32)
+    want[[0b10110, 0b10111]] = want[[0b10111, 0b10110]]
+    assert np.array_equal(block, want)

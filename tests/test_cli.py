@@ -248,6 +248,24 @@ def test_verify_usage_errors(tmp_path, capsys):
     assert code == 2 and "needs --graph" in err
 
 
+def test_verify_checks_its_inputs_before_building_the_unitary(tmp_path, capsys, monkeypatch):
+    """Missing or unreadable inputs exit 2 without evaluating the circuit."""
+
+    def refuse(c):
+        raise AssertionError(f"unitary of {c.n_wires} wires built before the inputs were checked")
+
+    monkeypatch.setattr(walkforge.cli, "unitary", refuse)
+    code, _, err = _run(["verify", "--kind", "mcx", "--controls", "5", "--against", "exact"], capsys)
+    assert code == 2 and "needs --graph" in err
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("QUBITS 1 ANCILLAS 0\nH q1\n")
+    code, _, err = _run(["verify", str(cpath), "--against", "oracle"], capsys)
+    assert code == 2 and "needs --kind" in err
+    missing = str(tmp_path / "missing.json")
+    code, _, err = _run(["verify", str(cpath), "--against", "exact", "--graph", missing], capsys)
+    assert code == 2 and err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     """argparse usage failures propagate exit code 2."""
     assert main(["bogus"]) == 2
