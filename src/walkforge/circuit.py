@@ -16,7 +16,13 @@ APHASE, CPHASE, CRK, GPHASE, found by inspecting the gate table) only relabel
 and phase basis states: a run of them composes into one index map, applied to
 the amplitudes as a single gather, so permutation circuits stay exactly 0/1.
 A one-wire dense gate is one strided matmul; wider dense gates contract their
-wires' axes.
+wires' axes. A multi-control acts by its 2 x 2 target block on the indices
+whose controls match, never as its 2^(m+1)-square matrix.
+
+Synthesized circuits repeat a few gates many times (a Trotter circuit is N
+copies of one step), so each per-gate job here, in the evaluator and in the
+text format, is done once per distinct gate of a call and reused for every
+occurrence; nothing is kept from one call to the next.
 """
 from __future__ import annotations
 
@@ -98,7 +104,7 @@ class Circuit:
             raise ValueError("circuit needs at least one wire")
         object.__setattr__(self, "gates", tuple(self.gates))
         w = self.n_wires
-        for g in self.gates:
+        for g in dict.fromkeys(self.gates):  # each distinct gate once, in order
             if any(q > w for q in g.qubits):
                 raise ValueError(f"gate {g.kind} touches wire beyond {w}")
 
@@ -153,18 +159,6 @@ def _xx(chi: float) -> np.ndarray:
 def _crx(theta: float) -> np.ndarray:
     u = np.eye(4, dtype=complex)
     u[2:, 2:] = _rx(theta)
-    return u
-
-
-def _multicontrol(polarities: tuple[int, ...], core: np.ndarray) -> np.ndarray:
-    m = len(polarities)
-    dim = 1 << (m + 1)
-    u = np.eye(dim, dtype=complex)
-    offset = 0
-    for i, pol in enumerate(polarities):
-        offset |= pol << (m - i)
-    block = slice(offset, offset + 2)
-    u[block, block] = core
     return u
 
 
@@ -228,30 +222,56 @@ def gate_conventions() -> dict[str, object]:
 
 
 def _gate_matrix(g: Gate) -> np.ndarray:
-    n_wires, _, mat = _GATES[g.kind]
-    if callable(mat):
-        mat = mat(*g.params)
-    return mat if n_wires is not None else _multicontrol(g.polarities, mat)
+    """The gate's matrix; for MCX/MCRX the 2 x 2 block on the target."""
+    mat = _GATES[g.kind][2]
+    return mat(*g.params) if callable(mat) else mat
 
 
-def _compose(dest: np.ndarray, phase: np.ndarray | None, g: Gate, mat: np.ndarray, w: int):
-    """Follow the map j -> (dest[j], phase[j]) by the monomial gate g.
+def _exact_key(x):
+    """x as a dict key that keeps -0.0 apart from 0.0.
 
-    dest is updated in place; the new phases are returned, None while all are 1.
+    The two compare and hash equal but print and lower differently, so a gate
+    or pulse holding a zero float is keyed together with its repr.
     """
+    if isinstance(x, str):
+        return x
+    floats = x.params if isinstance(x, Gate) else (x.strength, x.duration)
+    return (x, repr(x)) if 0.0 in floats else x
+
+
+def _once_each(fn):
+    """fn, computed once for each distinct argument while the returned function lives.
+
+    Each call that prepares gates, pulses or text lines makes its own, so
+    repeated items cost one computation per call and nothing outlives it. Items
+    are handled in order, so the first bad one is still the one that raises.
+    """
+    memo = {}
+    miss = object()
+
+    def once(x):
+        key = _exact_key(x)
+        out = memo.get(key, miss)
+        if out is miss:
+            out = memo[key] = fn(x)
+        return out
+
+    return once
+
+
+def _index_map(qubits: tuple[int, ...], mat: np.ndarray, w: int):
+    """(dest, phase): the monomial matrix on qubits sends basis index j of a w-wire
+    register to dest[j] with factor phase[j]; phase is None when every factor is 1."""
+    dest = np.arange(1 << w)
     cols = np.arange(len(mat))
     rows = (mat != 0).argmax(0)  # each column's one nonzero
-    local = np.zeros(len(dest), dtype=dest.dtype)  # the gate's matrix index of each dest
-    flips = np.zeros(len(cols), dtype=dest.dtype)  # per matrix column, the basis-index bits it flips
-    for i, q in enumerate(g.qubits):
+    local = np.zeros_like(dest)  # the gate's matrix index of each basis index
+    flips = np.zeros_like(cols)  # per matrix column, the basis-index bits it flips
+    for i, q in enumerate(qubits):
         local = (local << 1) | ((dest >> (w - q)) & 1)
-        flips |= (((cols ^ rows) >> (len(g.qubits) - 1 - i)) & 1) << (w - q)
-    if flips.any():
-        dest ^= flips[local]
+        flips |= (((cols ^ rows) >> (len(qubits) - 1 - i)) & 1) << (w - q)
     values = mat[rows, cols]
-    if (values != 1).any():
-        phase = values[local] if phase is None else phase * values[local]
-    return phase
+    return dest ^ flips[local], (values[local] if (values != 1).any() else None)
 
 
 def _gather(psi: np.ndarray, dest: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
@@ -264,17 +284,17 @@ def _gather(psi: np.ndarray, dest: np.ndarray, phase: np.ndarray | None) -> np.n
     return out
 
 
-def _dense(psi: np.ndarray, g: Gate, mat: np.ndarray, w: int) -> np.ndarray:
-    """Multiply the gate's matrix into its wires' axes of a (2^w, batch) block."""
-    if len(g.qubits) == 1:
-        t = psi.reshape(1 << (g.qubits[0] - 1), 2, -1)
+def _dense(psi: np.ndarray, qubits: tuple[int, ...], mat: np.ndarray, w: int) -> np.ndarray:
+    """Multiply the matrix into the axes of qubits of a (2^w, batch) block."""
+    if len(qubits) == 1:
+        t = psi.reshape(1 << (qubits[0] - 1), 2, -1)
         # matmul makes one BLAS call per index of the axis left out of the
         # 2 x n core, so leave out the shorter of the outer two: for a state
         # vector and a wire near the end of the register that is the last.
         core = (1, 2) if t.shape[0] <= t.shape[2] else (1, 0)
         return np.matmul(mat, t, axes=[(0, 1), core, core]).reshape(psi.shape)
-    k = len(g.qubits)
-    src = [q - 1 for q in g.qubits]
+    k = len(qubits)
+    src = [q - 1 for q in qubits]
     batch = psi.shape[1]
     t = psi.reshape([2] * w + [batch])
     t = np.moveaxis(t, src, range(k))
@@ -284,26 +304,68 @@ def _dense(psi: np.ndarray, g: Gate, mat: np.ndarray, w: int) -> np.ndarray:
     return t.reshape(1 << w, batch)
 
 
+def _prepare(g: Gate, w: int):
+    """What _run needs of one gate on w wires: a monomial gate's map (dest, phase)
+    (see _index_map), any other gate a function that applies it to a block.
+
+    A multi-control is its target block on the sub-register of the basis
+    indices whose controls match: those indices, in increasing order, run over
+    the other wires' bits with the target in its place among them.
+    """
+    mat = _gate_matrix(g)
+    if _GATES[g.kind][0] is not None:
+        if g.kind in _MONOMIAL:
+            return _index_map(g.qubits, mat, w)
+        return lambda psi: _dense(psi, g.qubits, mat, w)
+    controls, target = g.qubits[:-1], g.qubits[-1]
+    mask = sum(1 << (w - q) for q in controls)
+    want = sum(pol << (w - q) for q, pol in zip(controls, g.polarities))
+    idx = np.arange(1 << w)
+    on = idx[(idx & mask) == want]
+    n = w - len(controls)
+    local = (target - sum(q < target for q in controls),)
+    if g.kind not in _MONOMIAL:
+        def on_matching(psi):
+            out = psi.copy()
+            out[on] = _dense(psi[on], local, mat, n)
+            return out
+
+        return on_matching
+    sub, sub_phase = _index_map(local, mat, n)
+    idx[on] = on[sub]
+    if sub_phase is None:
+        return idx, None
+    phase = np.ones(1 << w, dtype=complex)
+    phase[on] = sub_phase
+    return idx, phase
+
+
 def _run(c: Circuit, block: np.ndarray) -> np.ndarray:
     """Apply the circuit to a (2^w, batch) amplitude block, gate by gate.
 
-    Monomial gates compose into one pending map j -> (dest[j], phase[j]) over
-    the 2^w basis indices, at O(2^w) each; the block is gathered through the
-    map once per run of them, before the next dense gate and at the end.
+    Each distinct gate is prepared once per call (_prepare): a dense gate's
+    matrix, a monomial gate's map of all 2^w basis indices. Monomial gates
+    then extend one pending map j -> (dest[j], phase[j]) by two gathers each;
+    the block is gathered through the map once per run of them, before the
+    next dense gate and at the end.
     """
     w = c.n_wires
+    prepare = _once_each(lambda g: _prepare(g, w))
     psi = block
     dest = phase = None
     for g in c.gates:
-        mat = _gate_matrix(g)
-        if g.kind in _MONOMIAL:
-            if dest is None:
-                dest, phase = np.arange(1 << w), None
-            phase = _compose(dest, phase, g, mat, w)
-            continue
-        if dest is not None:
-            psi, dest = _gather(psi, dest, phase), None
-        psi = _dense(psi, g, mat, w)
+        prep = prepare(g)
+        if callable(prep):
+            if dest is not None:
+                psi, dest = _gather(psi, dest, phase), None
+            psi = prep(psi)
+        elif dest is None:
+            dest, phase = prep
+        else:
+            perm, factor = prep
+            if factor is not None:
+                phase = factor[dest] if phase is None else phase * factor[dest]
+            dest = perm[dest]
     return psi if dest is None else _gather(psi, dest, phase)
 
 
@@ -389,27 +451,55 @@ def _format_num(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _gate_line(g: Gate) -> str:
+    parts = [g.kind]
+    if g.kind in ("MCX", "MCRX"):
+        for q, pol in zip(g.qubits, g.polarities):
+            parts.append(("+" if pol else "-") + f"q{q}")
+        parts.append(f"q{g.qubits[-1]}")
+    else:
+        parts.extend(f"q{q}" for q in g.qubits)
+    parts.extend(_format_num(p) for p in g.params)
+    return " ".join(parts)
+
+
 def circuit_to_text(c: Circuit) -> str:
-    """One gate per line after a 'QUBITS n ANCILLAS a' header; round trips bit-exactly."""
-    lines = [f"QUBITS {c.n_qubits} ANCILLAS {c.n_ancillas}"]
-    for g in c.gates:
-        parts = [g.kind]
-        if g.kind in ("MCX", "MCRX"):
-            for q, pol in zip(g.qubits, g.polarities):
-                parts.append(("+" if pol else "-") + f"q{q}")
-            parts.append(f"q{g.qubits[-1]}")
+    """One gate per line after a 'QUBITS n ANCILLAS a' header; round trips bit-exactly.
+
+    Each distinct gate is formatted once per call.
+    """
+    line = _once_each(_gate_line)
+    return "\n".join([f"QUBITS {c.n_qubits} ANCILLAS {c.n_ancillas}", *map(line, c.gates)]) + "\n"
+
+
+def _parse_gate(ln: str) -> Gate:
+    tokens = ln.split()
+    kind = tokens[0]
+    qubits: list[int] = []
+    polarities: list[int] = []
+    signed: list[bool] = []
+    params: list[float] = []
+    for tok in tokens[1:]:
+        if tok.startswith(("+q", "-q")):
+            polarities.append(1 if tok[0] == "+" else 0)
+            qubits.append(int(tok[2:]))
+            signed.append(True)
+        elif tok.startswith("q"):
+            qubits.append(int(tok[1:]))
+            signed.append(False)
         else:
-            parts.extend(f"q{q}" for q in g.qubits)
-        parts.extend(_format_num(p) for p in g.params)
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+            params.append(float(tok))
+    if kind in ("MCX", "MCRX") and signed != [True] * (len(signed) - 1) + [False]:
+        raise ValueError(f"{kind} needs a +q/-q polarity on every control and none on the target")
+    return Gate(kind, tuple(qubits), tuple(params), tuple(polarities))
 
 
 def circuit_from_text(text: str) -> Circuit:
     """Parse the textual circuit format.
 
     MCX/MCRX need a +q/-q polarity on every control and none on the target;
-    other kinds take plain q wires.
+    other kinds take plain q wires. Each distinct line is parsed and its gate
+    validated once per call.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -418,25 +508,5 @@ def circuit_from_text(text: str) -> Circuit:
     if len(header) != 4 or header[0] != "QUBITS" or header[2] != "ANCILLAS":
         raise ValueError("circuit text must start with 'QUBITS n ANCILLAS a'")
     n, a = int(header[1]), int(header[3])
-    gates = []
-    for ln in lines[1:]:
-        tokens = ln.split()
-        kind = tokens[0]
-        qubits: list[int] = []
-        polarities: list[int] = []
-        signed: list[bool] = []
-        params: list[float] = []
-        for tok in tokens[1:]:
-            if tok.startswith(("+q", "-q")):
-                polarities.append(1 if tok[0] == "+" else 0)
-                qubits.append(int(tok[2:]))
-                signed.append(True)
-            elif tok.startswith("q"):
-                qubits.append(int(tok[1:]))
-                signed.append(False)
-            else:
-                params.append(float(tok))
-        if kind in ("MCX", "MCRX") and signed != [True] * (len(signed) - 1) + [False]:
-            raise ValueError(f"{kind} needs a +q/-q polarity on every control and none on the target")
-        gates.append(Gate(kind, tuple(qubits), tuple(params), tuple(polarities)))
-    return Circuit(n, a, tuple(gates))
+    parse = _once_each(_parse_gate)
+    return Circuit(n, a, tuple(map(parse, lines[1:])))

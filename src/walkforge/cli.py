@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import (
-    Circuit,
     Gate,
     ancilla_ground_block,
     apply as circuit_apply,
@@ -250,6 +249,13 @@ def _mcx_gate(controls: int) -> Gate:
     return Gate("MCX", tuple(range(1, controls + 2)), (), (1,) * controls)
 
 
+def _mcx_oracle(controls: int) -> np.ndarray:
+    """The all-up MCX of _mcx_gate by index arithmetic: the identity with its last two rows swapped."""
+    u = np.eye(2 << controls, dtype=complex)
+    u[[-2, -1]] = u[[-1, -2]]
+    return u
+
+
 # verify kind -> (circuit builder, oracle matrix), each a function of the parsed
 # arguments; the lambdas look library names up at call time
 _VERIFY_KINDS = {
@@ -263,7 +269,7 @@ _VERIFY_KINDS = {
     ),
     "mcx": (
         lambda a: expand_multicontrol(_mcx_gate(a.controls), a.controls + 1),
-        lambda a: unitary(Circuit(a.controls + 1, 0, (_mcx_gate(a.controls),))),
+        lambda a: _mcx_oracle(a.controls),
     ),
     "qft": (lambda a: build_qft_circuit(a.n, "fundamental"), lambda a: qft_reference(a.n)),
 }

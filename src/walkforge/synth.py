@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_qubit_count
-from .circuit import Circuit, Gate, gate_conventions
+from .circuit import Circuit, Gate, _once_each, gate_conventions
 from .encode import encode_binary
 from .gatelib import (
     FundamentalPulse,
@@ -337,21 +337,22 @@ _FUNDAMENTAL = frozenset({"RX", "RZ", "XX", "GPHASE"})
 def _lower(c: Circuit, target: frozenset[str]) -> Circuit:
     """Apply the lowering rules until every gate kind is in target.
 
-    Wires the rewritten gates reach beyond c.n_wires are new ancillas.
+    Each distinct gate, at every depth of the rewriting, is lowered once per
+    call; its occurrences reuse that tuple of gates. Wires the rewritten gates
+    reach beyond c.n_wires are new ancillas.
     """
-    base = c.n_wires
-    out: list[Gate] = []
+    base = top = c.n_wires
 
-    def emit(gates) -> None:
-        for g in gates:
-            if g.kind in target:
-                out.append(g)
-            else:
-                emit(_LOWERING[g.kind](g, base))
+    def lower(g: Gate) -> tuple[Gate, ...]:
+        nonlocal top
+        if g.kind in target:
+            top = max((top, *g.qubits))
+            return (g,)
+        return tuple(h for sub in _LOWERING[g.kind](g, base) for h in once(sub))
 
-    emit(c.gates)
-    top = max((q for g in out for q in g.qubits), default=base)
-    return Circuit(c.n_qubits, c.n_ancillas + max(0, top - base), tuple(out))
+    once = _once_each(lower)
+    out = tuple(h for g in c.gates for h in once(g))
+    return Circuit(c.n_qubits, c.n_ancillas + top - base, out)
 
 
 def expand_to_basic(c: Circuit) -> Circuit:
@@ -422,26 +423,27 @@ def circuit_to_pulses(c: Circuit, strengths: PulseStrengths) -> tuple[Fundamenta
     (theta mod 2 pi)/(2 eps_j), XX(chi) runs the pair term for
     (chi mod 2 pi)/vperp. A 2 pi shift changes at most the global sign.
     GPHASE gates and zero angles are dropped. Replay matches unitary(c) up
-    to global phase.
+    to global phase. Each distinct gate is compiled once per call.
     """
     if strengths.eps.size != c.n_wires:
         raise ValueError("strengths sized for a different wire count")
-    pulses: list[FundamentalPulse] = []
-    for g in c.gates:
+
+    def pulse(g: Gate) -> FundamentalPulse | None:
         if g.kind == "GPHASE":
-            continue
+            return None
         if g.kind not in _PULSE_RULES:
             raise ValueError(f"gate {g.kind} is outside the fundamental set")
         angle = g.params[0]
         if angle == 0.0:
-            continue
+            return None
         term, sign, divisor = _PULSE_RULES[g.kind]
         where = f"wire {g.qubits[0]}" if len(g.qubits) == 1 else "wires {},{}".format(*g.qubits)
         strength = getattr(strengths, term)[tuple(q - 1 for q in g.qubits)]
         strength = _need(float(strength), f"{term} on {where}")
         duration = ((sign * angle) % (2.0 * _PI)) / (divisor * strength)
-        pulses.append(FundamentalPulse(term, g.qubits, strength, duration))
-    return tuple(pulses)
+        return FundamentalPulse(term, g.qubits, strength, duration)
+
+    return tuple(p for p in map(_once_each(pulse), c.gates) if p is not None)
 
 
 def replay_pulses(pulses: tuple[FundamentalPulse, ...], n_wires: int) -> np.ndarray:
@@ -469,14 +471,25 @@ def replay_pulses(pulses: tuple[FundamentalPulse, ...], n_wires: int) -> np.ndar
 
 
 def pulses_to_csv(pulses: tuple[FundamentalPulse, ...]) -> str:
-    """CSV rows term,qubits,strength,duration in execution order."""
+    """CSV rows term,qubits,strength,duration in execution order.
+
+    Each distinct pulse is formatted once per call.
+    """
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["term", "qubits", "strength", "duration"])
-    for p in pulses:
+
+    def row(fields: list[str]) -> str:
+        buf.seek(0)
+        buf.truncate()
+        w.writerow(fields)
+        return buf.getvalue()
+
+    def pulse_row(p: FundamentalPulse) -> str:
         qubits = " ".join(str(q) for q in p.qubits)
-        w.writerow([p.term, qubits, f"{p.strength:.17g}", f"{p.duration:.17g}"])
-    return buf.getvalue()
+        return row([p.term, qubits, f"{p.strength:.17g}", f"{p.duration:.17g}"])
+
+    header = row(["term", "qubits", "strength", "duration"])
+    return header + "".join(map(_once_each(pulse_row), pulses))
 
 
 def pulses_from_csv(text: str) -> tuple[FundamentalPulse, ...]:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from walkforge import (
     trotterize,
     unitary,
 )
-from walkforge.circuit import _MONOMIAL, _applications, _power_pays, _repeated_block, _run
+from walkforge.circuit import _MONOMIAL, _applications, _gate_matrix, _power_pays, _repeated_block, _run
 
 rng = np.random.default_rng(271828)
 
@@ -476,3 +477,74 @@ def test_mcx_ladder_unitary_is_an_exact_permutation():
     want = np.eye(32)
     want[[0b10110, 0b10111]] = want[[0b10111, 0b10110]]
     assert np.array_equal(block, want)
+
+
+def _trotter16() -> Circuit:
+    """A binary cycle(16) Trotter circuit: 4 copies of one step, with one ancilla."""
+    return trotterize(encode_binary(build_cycle(16)), 0.9, TrotterPlan(4))
+
+
+def test_each_distinct_gate_matrix_is_built_once_per_call(monkeypatch):
+    """apply builds one matrix per distinct gate, however often it occurs."""
+    c = _trotter16()
+    assert len(set(c.gates)) < len(c.gates)
+    calls = []
+    monkeypatch.setattr("walkforge.circuit._gate_matrix", lambda g: calls.append(g) or _gate_matrix(g))
+    psi = rng.normal(size=1 << c.n_wires) + 1j * rng.normal(size=1 << c.n_wires)
+    apply(c, psi)
+    assert len(calls) == len(set(calls)) == len(set(c.gates))
+
+
+@pytest.mark.parametrize("kind", ["MCX", "MCRX"])
+def test_ten_controls_apply_without_the_full_gate_matrix(kind):
+    """A 10-control gate on 11 wires acts on a 32 KiB state in well under 4 MB
+    (its 2^11-square matrix alone would be 64 MB) and matches a loop over the
+    amplitudes whose controls match."""
+    gen = np.random.default_rng(11)
+    w = 11
+    wires = tuple(int(q) + 1 for q in gen.permutation(w))
+    pols = tuple(int(b) for b in gen.integers(0, 2, w - 1))
+    g = Gate(kind, wires, (0.7,) if kind == "MCRX" else (), pols)
+    c = Circuit(w, 0, (g,))
+    psi = gen.normal(size=1 << w) + 1j * gen.normal(size=1 << w)
+    tracemalloc.start()
+    try:
+        got = apply(c, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    conv = gate_conventions()
+    core = conv["X"] if kind == "MCX" else conv["RX"](0.7)
+    bit = {q: 1 << (w - q) for q in wires}
+    want = psi.copy()
+    for j in range(1 << w):
+        if all(bool(j & bit[q]) == bool(p) for q, p in zip(wires, pols)) and not j & bit[wires[-1]]:
+            up = j | bit[wires[-1]]
+            want[j] = core[0, 0] * psi[j] + core[0, 1] * psi[up]
+            want[up] = core[1, 0] * psi[j] + core[1, 1] * psi[up]
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.count_nonzero(got != psi) == 2  # the one pair whose controls match
+
+
+@pytest.mark.parametrize("c", [_trotter16(), Circuit(3, 1, (Gate("RZ", (1,), (0.0,)), Gate("RZ", (1,), (-0.0,))) * 3)])
+def test_circuit_text_equals_the_gate_by_gate_text(c):
+    """Formatting and parsing each distinct gate or line once gives the text and
+    gates of one-gate circuits, a signed zero included."""
+    header = f"QUBITS {c.n_qubits} ANCILLAS {c.n_ancillas}\n"
+    lines = [circuit_to_text(Circuit(c.n_qubits, c.n_ancillas, (g,)))[len(header):] for g in c.gates]
+    text = circuit_to_text(c)
+    assert text == header + "".join(lines)
+    parsed = circuit_from_text(text)
+    assert repr(parsed) == repr(Circuit(c.n_qubits, c.n_ancillas, tuple(
+        circuit_from_text(header + ln).gates[0] for ln in lines
+    )))
+
+
+def test_circuit_text_reports_the_first_bad_line_after_repeats():
+    """Lines that repeat are parsed once, and the first bad line still raises."""
+    good = "RZ q1 0.5\nCNOT q1 q2\n" * 200
+    with pytest.raises(ValueError, match="unknown gate kind 'FOO'"):
+        circuit_from_text("QUBITS 2 ANCILLAS 0\n" + good + "FOO q1\nRZ q1 nan\n" + good)
+    with pytest.raises(ValueError, match="must be finite"):
+        circuit_from_text("QUBITS 2 ANCILLAS 0\n" + good + "RZ q1 nan\n" + good)

@@ -516,20 +516,24 @@ def test_decode_refuses_a_huge_qubits_header(tmp_path, capsys):
 
 
 def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
-    """The parser is built once per process; no default or error state leaks
-    from one call into the next."""
+    """The parser is built once per process; no default, error state or
+    per-gate result leaks from one call into the next."""
     bad = tmp_path / "bad.txt"
     bad.write_text("QUBITS 2\n1 + X1\n")
     good = tmp_path / "good.txt"
     good.write_text(hamiltonian_to_text(encode_binary(walkforge.build_cycle(3))))
+    graph = _write_graph(tmp_path, ["--kind", "cycle", "--n", "16"])
     calls = [
         ["chain", "xy", "--n", "3", "--j", "0.5", "0.7"],
         ["chain", "xy", "--n", "3"],
         ["decode", str(bad)],
         ["decode", str(good)],
+        ["synth", "trotter", "--graph", str(graph), "--steps", "4"],
+        ["synth", "qft", "--n", "4", "--level", "fundamental"],
+        ["synth", "trotter", "--graph", str(graph), "--steps", "4"],
     ]
     in_process = [_run(argv, capsys) for argv in calls]
-    assert [code for code, _, _ in in_process] == [0, 0, 2, 0]
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 0]
     assert in_process == [_fresh(argv) for argv in calls]
 
 

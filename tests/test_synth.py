@@ -43,6 +43,7 @@ from walkforge import (
     uniform_strengths,
     walk_matrix,
 )
+from walkforge.synth import _LOWERING
 
 rng = np.random.default_rng(1729)
 
@@ -576,3 +577,86 @@ def test_qft_validation():
         build_qft_circuit(2, "optimized")
     with pytest.raises(ValueError, match="1..12"):
         qft_reference(13)
+
+
+def _repeating_circuits():
+    """Circuits whose gates repeat: a binary cycle(16) Trotter circuit (4 steps,
+    one ancilla), the named-gate QFT, and zero angles of both signs, which
+    compare equal but lower to differently signed zeros."""
+    trotter = trotterize(encode_binary(build_cycle(16)), 0.9, TrotterPlan(4))
+    assert trotter.n_ancillas == 1
+    yield pytest.param(trotter, id="cycle16-trotter4")
+    yield pytest.param(build_qft_circuit(5), id="qft5")
+    zeros = tuple(Gate(k, (1,), (z,)) for k in ("RY", "APHASE") for z in (0.0, -0.0))
+    yield pytest.param(Circuit(2, 0, zeros * 3), id="signed-zeros")
+
+
+def _one_gate(c: Circuit, g: Gate) -> Circuit:
+    return Circuit(c.n_qubits, c.n_ancillas, (g,))
+
+
+@pytest.mark.parametrize("lower", [expand_to_basic, to_fundamental])
+@pytest.mark.parametrize("c", _repeating_circuits())
+def test_lowering_equals_the_gate_by_gate_rewrite(c, lower):
+    """Lowering each distinct gate once gives the concatenation of the one-gate
+    lowerings, down to the sign of every zero angle (compared by repr)."""
+    got = lower(c)
+    pieces = [lower(_one_gate(c, g)) for g in c.gates]
+    want = tuple(h for p in pieces for h in p.gates)
+    assert repr(got.gates) == repr(want)
+    assert (got.n_qubits, got.n_ancillas) == (c.n_qubits, max(p.n_ancillas for p in pieces))
+
+
+@pytest.mark.parametrize("c", _repeating_circuits())
+def test_pulses_and_csv_equal_the_gate_by_gate_compilation(c):
+    f = to_fundamental(c)
+    s = uniform_strengths(f.n_wires, 0.7)
+    pulses = circuit_to_pulses(f, s)
+    assert pulses == tuple(p for g in f.gates for p in circuit_to_pulses(_one_gate(f, g), s))
+    header = "term,qubits,strength,duration\n"
+    rows = [pulses_to_csv((p,)) for p in pulses]
+    assert all(r.startswith(header) for r in rows)
+    assert pulses_to_csv(pulses) == header + "".join(r[len(header):] for r in rows)
+
+
+def test_csv_keeps_signed_zeros_apart():
+    """-0.0 == 0.0, yet each prints as itself."""
+    pulses = (FundamentalPulse("eps", (1,), 1.0, 0.0), FundamentalPulse("eps", (1,), 1.0, -0.0)) * 2
+    assert pulses_to_csv(pulses).splitlines()[1:] == ["eps,1,1,0", "eps,1,1,-0"] * 2
+
+
+def test_pulse_error_names_the_first_gate_that_needs_a_zero():
+    """The only zero strength sits on the term first needed last: the error is
+    the one the first such gate raises on its own."""
+    f = to_fundamental(trotterize(encode_binary(build_cycle(16)), 0.9, TrotterPlan(4)))
+    needs = {}
+    for g in f.gates:
+        if g.kind != "GPHASE" and g.params[0] != 0.0:
+            needs.setdefault((g.kind, g.qubits), g)
+    kind, qubits = list(needs)[-1]
+    s = uniform_strengths(f.n_wires)
+    term = {"RX": s.delta, "RZ": s.eps, "XX": s.vperp}[kind]
+    term[tuple(q - 1 for q in qubits)] = 0.0
+    if kind == "XX":
+        term[tuple(q - 1 for q in reversed(qubits))] = 0.0
+    with pytest.raises(ValueError) as alone:
+        circuit_to_pulses(_one_gate(f, needs[kind, qubits]), s)
+    with pytest.raises(ValueError) as whole:
+        circuit_to_pulses(f, s)
+    assert str(whole.value) == str(alone.value)
+    assert str(whole.value).startswith("zero strength for needed term")
+
+
+def test_each_distinct_cnot_is_lowered_once(monkeypatch):
+    """to_fundamental rewrites a CNOT once per distinct CNOT, not per occurrence."""
+    c = trotterize(encode_binary(build_cycle(16)), 0.9, TrotterPlan(4))
+    cnots = [g for g in expand_to_basic(c).gates if g.kind == "CNOT"]
+    distinct = set(cnots)
+    assert len(cnots) > len(distinct) > 0
+    calls = []
+    rule = _LOWERING["CNOT"]
+    monkeypatch.setitem(_LOWERING, "CNOT", lambda g, w: calls.append(g) or rule(g, w))
+    to_fundamental(c)
+    assert len(calls) == len(distinct) and set(calls) == distinct
+    to_fundamental(c)
+    assert len(calls) == 2 * len(distinct)  # nothing is kept between calls
