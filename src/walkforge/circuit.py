@@ -19,14 +19,19 @@ A one-wire dense gate is one strided matmul; wider dense gates contract their
 wires' axes. A multi-control acts by its 2 x 2 target block on the indices
 whose controls match, never as its 2^(m+1)-square matrix.
 
-Synthesized circuits repeat a few gates many times (a Trotter circuit is N
-copies of one step), so each per-gate job here, in the evaluator and in the
-text format, is done once per distinct gate of a call and reused for every
-occurrence; nothing is kept from one call to the next.
+A circuit holds each distinct gate once, in a table in first-use order, and
+one integer code per occurrence. Synthesized circuits repeat a few gates many
+times (a Trotter circuit is N copies of one step), so every per-gate job is
+done once per table entry and then mapped over the codes: validation, the
+evaluator's matrices and index maps, and the text format. The repeated block
+that unitary raises to a power is a period of the codes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
@@ -87,26 +92,87 @@ class Gate:
             k = self.params[0]
             if k != int(k) or k < 1:
                 raise ValueError("CRK order k must be a positive integer")
+        object.__setattr__(self, "_hash", hash((self.kind, self.qubits, self.params, self.polarities)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # no stored hash: string hashes differ between processes
+        return Gate, (self.kind, self.qubits, self.params, self.polarities)
 
 
-@dataclass(frozen=True)
+class _Table:
+    """Distinct gates in first-use order; a gate's code is its place in the list."""
+
+    def __init__(self) -> None:
+        self.gates: list[Gate] = []
+        self._codes: dict = {}
+        self._built: dict = {}
+
+    def code(self, g: Gate) -> int:
+        # -0.0 == 0.0 with one hash, but the two print and lower differently,
+        # so a gate holding a zero is keyed together with its parameters' repr
+        code = self._codes.setdefault((g, repr(g.params)) if 0.0 in g.params else g, len(self.gates))
+        if code == len(self.gates):
+            self.gates.append(g)
+        return code
+
+    def make(self, *args) -> int:
+        """The code of Gate(*args), built on first use only; raw arguments cannot
+        tell -0.0 from 0.0, so a gate holding a zero is built each time."""
+        code = self._built.get(args)
+        if code is None:
+            g = Gate(*args)
+            code = self.code(g)
+            if 0.0 not in g.params:
+                self._built[args] = code
+        return code
+
+
+@dataclass(frozen=True, init=False)
 class Circuit:
-    """Ordered gate list over n_qubits data wires plus n_ancillas ancilla wires."""
+    """Ordered gate list over n_qubits data wires plus n_ancillas ancilla wires.
+
+    Held as table, the distinct gates in first-use order, and codes, one index
+    into table per occurrence; gates is the occurrences themselves, read from
+    those two. Circuit(n, a, gates) interns its gates; equality, hashing and
+    dataclasses.replace go by (n_qubits, n_ancillas, gates).
+    """
 
     n_qubits: int
     n_ancillas: int = 0
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
+    gates: tuple[Gate, ...]  # a field for equality, repr and replace; see below
 
-    def __post_init__(self) -> None:
-        if self.n_qubits < 0 or self.n_ancillas < 0:
+    def __init__(self, n_qubits: int, n_ancillas: int = 0, gates: Iterable[Gate] = ()) -> None:
+        gates = tuple(gates)
+        table = _Table()
+        self._fill(n_qubits, n_ancillas, table.gates, [table.code(g) for g in gates])
+        self.__dict__["gates"] = gates
+
+    @classmethod
+    def _from_codes(cls, n_qubits: int, n_ancillas: int, table, codes) -> Circuit:
+        """The circuit of table[k] for each k in codes, table holding distinct
+        gates in first-use order (as a _Table builds them)."""
+        c = cls.__new__(cls)
+        c._fill(n_qubits, n_ancillas, table, codes)
+        return c
+
+    def _fill(self, n_qubits: int, n_ancillas: int, table, codes) -> None:
+        w = n_qubits + n_ancillas
+        if n_qubits < 0 or n_ancillas < 0:
             raise ValueError("wire counts must be nonnegative")
-        if self.n_qubits + self.n_ancillas < 1:
+        if w < 1:
             raise ValueError("circuit needs at least one wire")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        w = self.n_wires
-        for g in dict.fromkeys(self.gates):  # each distinct gate once, in order
+        for g in table:
             if any(q > w for q in g.qubits):
                 raise ValueError(f"gate {g.kind} touches wire beyond {w}")
+        self.__dict__.update(
+            n_qubits=n_qubits, n_ancillas=n_ancillas, table=tuple(table), codes=tuple(codes)
+        )
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        return tuple(map(self.table.__getitem__, self.codes))
 
     @property
     def n_wires(self) -> int:
@@ -227,38 +293,6 @@ def _gate_matrix(g: Gate) -> np.ndarray:
     return mat(*g.params) if callable(mat) else mat
 
 
-def _exact_key(x):
-    """x as a dict key that keeps -0.0 apart from 0.0.
-
-    The two compare and hash equal but print and lower differently, so a gate
-    or pulse holding a zero float is keyed together with its repr.
-    """
-    if isinstance(x, str):
-        return x
-    floats = x.params if isinstance(x, Gate) else (x.strength, x.duration)
-    return (x, repr(x)) if 0.0 in floats else x
-
-
-def _once_each(fn):
-    """fn, computed once for each distinct argument while the returned function lives.
-
-    Each call that prepares gates, pulses or text lines makes its own, so
-    repeated items cost one computation per call and nothing outlives it. Items
-    are handled in order, so the first bad one is still the one that raises.
-    """
-    memo = {}
-    miss = object()
-
-    def once(x):
-        key = _exact_key(x)
-        out = memo.get(key, miss)
-        if out is miss:
-            out = memo[key] = fn(x)
-        return out
-
-    return once
-
-
 def _index_map(qubits: tuple[int, ...], mat: np.ndarray, w: int):
     """(dest, phase): the monomial matrix on qubits sends basis index j of a w-wire
     register to dest[j] with factor phase[j]; phase is None when every factor is 1."""
@@ -340,21 +374,23 @@ def _prepare(g: Gate, w: int):
     return idx, phase
 
 
-def _run(c: Circuit, block: np.ndarray) -> np.ndarray:
-    """Apply the circuit to a (2^w, batch) amplitude block, gate by gate.
+def _run(c: Circuit, block: np.ndarray, codes: tuple[int, ...] | None = None) -> np.ndarray:
+    """Apply the circuit's gates (or those of codes) to a (2^w, batch) amplitude block.
 
-    Each distinct gate is prepared once per call (_prepare): a dense gate's
-    matrix, a monomial gate's map of all 2^w basis indices. Monomial gates
-    then extend one pending map j -> (dest[j], phase[j]) by two gathers each;
-    the block is gathered through the map once per run of them, before the
-    next dense gate and at the end.
+    A gate is prepared on its first code (_prepare): a dense gate's matrix, a
+    monomial gate's map of all 2^w basis indices. Monomial gates then extend
+    one pending map j -> (dest[j], phase[j]) by two gathers each; the block is
+    gathered through the map once per run of them, before the next dense gate
+    and at the end.
     """
     w = c.n_wires
-    prepare = _once_each(lambda g: _prepare(g, w))
+    prepared = [None] * len(c.table)
     psi = block
     dest = phase = None
-    for g in c.gates:
-        prep = prepare(g)
+    for k in c.codes if codes is None else codes:
+        prep = prepared[k]
+        if prep is None:
+            prep = prepared[k] = _prepare(c.table[k], w)
         if callable(prep):
             if dest is not None:
                 psi, dest = _gather(psi, dest, phase), None
@@ -369,7 +405,7 @@ def _run(c: Circuit, block: np.ndarray) -> np.ndarray:
     return psi if dest is None else _gather(psi, dest, phase)
 
 
-def _applications(gates: tuple[Gate, ...]) -> int:
+def _applications(gates: Iterable[Gate]) -> int:
     """Passes _run makes over the block: one per dense gate, one per run of monomial gates."""
     n, after_monomial = 0, False
     for g in gates:
@@ -379,13 +415,14 @@ def _applications(gates: tuple[Gate, ...]) -> int:
     return n
 
 
-def _repeated_block(gates: tuple[Gate, ...]) -> tuple[tuple[Gate, ...], int]:
-    """(block, reps) with block * reps == gates and the block as short as possible."""
-    n = len(gates)
-    for p in range(1, n // 2 + 1):
-        if n % p == 0 and gates[p] == gates[0] and gates[:p] * (n // p) == gates:
-            return gates[:p], n // p
-    return gates, 1
+def _period(codes: tuple[int, ...]) -> int:
+    """The shortest p with codes == codes[:p] * (len(codes) // p); 0 for no codes."""
+    n = len(codes)
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    for p in small + [n // k for k in reversed(small)]:
+        if codes[p % n] == codes[0] and codes[:p] * (n // p) == codes:
+            return p
+    return 0
 
 
 # About how many applications (see _applications) on the identity one 2^w x 2^w
@@ -405,20 +442,21 @@ def _power_pays(p: int, reps: int, w: int) -> bool:
 def unitary(c: Circuit) -> np.ndarray:
     """Exact 2^(n+a) x 2^(n+a) product of the gate matrices, in order.
 
-    A gate tuple made of one block repeated reps times is evaluated as the
-    block's unitary raised to the power reps, when the counts say the
-    squarings cost less than the gates.
+    Codes made of one block repeated reps times are evaluated as the block's
+    unitary raised to the power reps, when the counts say the squarings cost
+    less than the gates.
     """
     check_qubit_count(c.n_wires, "circuit unitary")
     dim = 1 << c.n_wires
-    block, reps = _repeated_block(c.gates)
-    p = _applications(block)
-    if reps > 1 and block[0].kind in _MONOMIAL and block[-1].kind in _MONOMIAL:
-        p -= 1  # the monomial runs at the block's two ends merge between repetitions
-    if not _power_pays(p, reps, c.n_wires):
-        block, reps = c.gates, 1
-    u = _run(replace(c, gates=block) if reps > 1 else c, np.eye(dim, dtype=complex))
-    return np.linalg.matrix_power(u, reps)
+    codes, table = c.codes, c.table
+    p = _period(codes)
+    block, reps = codes[:p], len(codes) // p if p else 1
+    apps = _applications(map(table.__getitem__, block))
+    if reps > 1 and table[block[0]].kind in _MONOMIAL and table[block[-1]].kind in _MONOMIAL:
+        apps -= 1  # the monomial runs at the block's two ends merge between repetitions
+    if not _power_pays(apps, reps, c.n_wires):
+        block, reps = codes, 1
+    return np.linalg.matrix_power(_run(c, np.eye(dim, dtype=complex), block), reps)
 
 
 def apply(c: Circuit, state):
@@ -466,10 +504,11 @@ def _gate_line(g: Gate) -> str:
 def circuit_to_text(c: Circuit) -> str:
     """One gate per line after a 'QUBITS n ANCILLAS a' header; round trips bit-exactly.
 
-    Each distinct gate is formatted once per call.
+    Each distinct gate is formatted once.
     """
-    line = _once_each(_gate_line)
-    return "\n".join([f"QUBITS {c.n_qubits} ANCILLAS {c.n_ancillas}", *map(line, c.gates)]) + "\n"
+    lines = [_gate_line(g) for g in c.table]
+    header = f"QUBITS {c.n_qubits} ANCILLAS {c.n_ancillas}"
+    return "\n".join([header, *map(lines.__getitem__, c.codes)]) + "\n"
 
 
 def _parse_gate(ln: str) -> Gate:
@@ -499,7 +538,7 @@ def circuit_from_text(text: str) -> Circuit:
 
     MCX/MCRX need a +q/-q polarity on every control and none on the target;
     other kinds take plain q wires. Each distinct line is parsed and its gate
-    validated once per call.
+    validated once.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -508,5 +547,8 @@ def circuit_from_text(text: str) -> Circuit:
     if len(header) != 4 or header[0] != "QUBITS" or header[2] != "ANCILLAS":
         raise ValueError("circuit text must start with 'QUBITS n ANCILLAS a'")
     n, a = int(header[1]), int(header[3])
-    parse = _once_each(_parse_gate)
-    return Circuit(n, a, tuple(map(parse, lines[1:])))
+    table = _Table()
+    line_codes = dict.fromkeys(lines[1:])
+    for ln in line_codes:
+        line_codes[ln] = table.code(_parse_gate(ln))
+    return Circuit._from_codes(n, a, table.gates, map(line_codes.__getitem__, lines[1:]))

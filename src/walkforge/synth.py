@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._config import check_qubit_count
-from .circuit import Circuit, Gate, _once_each, gate_conventions
+from .circuit import Circuit, Gate, _Table, gate_conventions
 from .encode import encode_binary
 from .gatelib import (
     FundamentalPulse,
@@ -106,20 +107,19 @@ def _ordered_terms(h: PauliHamiltonian, ordering: str) -> list[tuple[float, Paul
     return out
 
 
-def _synth_term(coeff: float, s: PauliString, delta: float, m: int) -> tuple[list[Gate], bool]:
-    """Gates realizing exp(-i delta coeff P) exactly; flag = ancilla used."""
+def _synth_term(coeff: float, s: PauliString, delta: float, make) -> list[int]:
+    """Codes (from make, see _Table.make) of gates realizing exp(-i delta coeff P) exactly."""
     angle = coeff * delta
     support = s.support
     if not support:
-        return [Gate("GPHASE", (), (-angle,))], False
+        return [make("GPHASE", (), (-angle,))]
     letters = [s.letters[q - 1] for q in support]
     if len(support) == 1:
         kind = {"X": "RX", "Y": "RY", "Z": "RZ"}[letters[0]]
-        return [Gate(kind, (support[0],), (2.0 * angle,))], False
+        return [make(kind, (support[0],), (2.0 * angle,))]
     if len(support) == 2 and letters == ["X", "X"]:
-        return [Gate("XX", support, (-angle,))], False
-    sub = synth_pauli_evolution(s, angle)
-    return list(sub.gates), True
+        return [make("XX", support, (-angle,))]
+    return _evolution(s, angle, (), make)
 
 
 def trotterize(h: PauliHamiltonian, t: float, plan: TrotterPlan) -> Circuit:
@@ -128,19 +128,16 @@ def trotterize(h: PauliHamiltonian, t: float, plan: TrotterPlan) -> Circuit:
     Within each sweep the per-term factors exp(-i t H_k / N) are applied in
     the plan's fixed order, first term first; each factor is synthesized
     exactly (single rotations, XX pulses, or the laddered construction with
-    one shared ancilla).
+    one shared ancilla). Each distinct gate is built once, and the circuit's
+    codes are one sweep's codes repeated.
     """
     m = h.m_qubits
     delta = float(t) / plan.n_steps
+    table = _Table()
     terms = _ordered_terms(h, plan.ordering)
-    step_gates: list[Gate] = []
-    any_ancilla = False
-    for coeff, s in terms:
-        gates, used = _synth_term(coeff, s, delta, m)
-        any_ancilla = any_ancilla or used
-        step_gates.extend(gates)
-    all_gates = tuple(step_gates) * plan.n_steps
-    return Circuit(m, 1 if any_ancilla else 0, all_gates)
+    step = [k for coeff, s in terms for k in _synth_term(coeff, s, delta, table.make)]
+    n_anc = int(any(m + 1 in g.qubits for g in table.gates))  # the ladders' shared ancilla
+    return Circuit._from_codes(m, n_anc, table.gates, tuple(step) * plan.n_steps)
 
 
 def _segment_hamiltonian(seg) -> PauliHamiltonian:
@@ -164,10 +161,12 @@ def time_sliced(s: Schedule, plan: TrotterPlan | tuple[TrotterPlan, ...]) -> Cir
     if any(c.n_qubits != m for c in pieces):
         raise ValueError("segments act on different register sizes")
     n_anc = max(c.n_ancillas for c in pieces)
-    gates: tuple[Gate, ...] = ()
+    table = _Table()
+    codes: list[int] = []
     for c in pieces:
-        gates += c.gates
-    return Circuit(m, n_anc, gates)
+        remap = [table.code(g) for g in c.table]
+        codes += map(remap.__getitem__, c.codes)
+    return Circuit._from_codes(m, n_anc, table.gates, codes)
 
 
 def synth_onsite(label: str, eps: float) -> Circuit:
@@ -199,6 +198,15 @@ def synth_pauli_evolution(
     angle before everything is undone. controls is a tuple of
     (qubit, polarity) pairs with polarity 1 = up, 0 = down.
     """
+    table = _Table()
+    codes = _evolution(string, theta, controls, table.make)
+    return Circuit._from_codes(string.m_qubits, 1, table.gates, codes)
+
+
+def _evolution(
+    string: PauliString, theta: float, controls: tuple[tuple[int, int], ...], make
+) -> list[int]:
+    """The codes of synth_pauli_evolution's gates, each made by make (see _Table.make)."""
     if string.phase != 1:
         raise ValueError("string must carry no phase factor")
     support = string.support
@@ -213,33 +221,24 @@ def synth_pauli_evolution(
         raise ValueError("projector controls out of range")
     n_z = sum(1 for q in support if string.letters[q - 1] == "Z")
     tt = float(theta) * (-1.0) ** n_z
+    turned = [(q, string.letters[q - 1]) for q in support if string.letters[q - 1] in "XY"]
 
-    enter: list[Gate] = []
-    leave: list[Gate] = []
-    for q in support:
-        letter = string.letters[q - 1]
-        if letter == "X":
-            enter.append(Gate("H", (q,)))
-            leave.append(Gate("H", (q,)))
-        elif letter == "Y":
-            enter.append(Gate("RX", (q,), (-_PI / 2,)))
-            leave.append(Gate("RX", (q,), (_PI / 2,)))
-    ladder = [Gate("CNOT", (q, anc)) for q in support]
+    def basis_change(sign: float) -> list[int]:
+        """H on X letters, RX(sign pi / 2) on Y letters: -1 enters, +1 leaves."""
+        return [
+            make("H", (q,)) if letter == "X" else make("RX", (q,), (sign * _PI / 2,))
+            for q, letter in turned
+        ]
 
+    enter = basis_change(-1.0)
+    ladder = [make("CNOT", (q, anc)) for q in support]
     if controls:
         pols = tuple(int(p) for _, p in controls)
-        fold = Gate("MCX", ctrl_qubits + (anc,), (), pols)
-        core = [
-            Gate("RZ", (anc,), (-tt,)),
-            fold,
-            Gate("RZ", (anc,), (tt,)),
-            fold,
-        ]
+        fold = make("MCX", ctrl_qubits + (anc,), (), pols)
+        core = [make("RZ", (anc,), (-tt,)), fold, make("RZ", (anc,), (tt,)), fold]
     else:
-        core = [Gate("RZ", (anc,), (-2.0 * tt,))]
-
-    gates = enter + ladder + core + ladder[::-1] + leave
-    return Circuit(m, 1, tuple(gates))
+        core = [make("RZ", (anc,), (-2.0 * tt,))]
+    return enter + ladder + core + ladder[::-1] + basis_change(1.0)
 
 
 def _line_step_terms(n_qubits: int, cycle: bool) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -338,21 +337,26 @@ def _lower(c: Circuit, target: frozenset[str]) -> Circuit:
     """Apply the lowering rules until every gate kind is in target.
 
     Each distinct gate, at every depth of the rewriting, is lowered once per
-    call; its occurrences reuse that tuple of gates. Wires the rewritten gates
-    reach beyond c.n_wires are new ancillas.
+    call; an input code then stands for its gate's output codes. Wires the
+    rewritten gates reach beyond c.n_wires are new ancillas.
     """
-    base = top = c.n_wires
+    base = c.n_wires
+    out, seen = _Table(), _Table()  # the gates emitted; every gate met on the way
+    lowered: dict[int, tuple[int, ...]] = {}  # code in seen -> codes in out
 
-    def lower(g: Gate) -> tuple[Gate, ...]:
-        nonlocal top
-        if g.kind in target:
-            top = max((top, *g.qubits))
-            return (g,)
-        return tuple(h for sub in _LOWERING[g.kind](g, base) for h in once(sub))
+    def lower(g: Gate) -> tuple[int, ...]:
+        i = seen.code(g)
+        if i not in lowered:
+            if g.kind in target:
+                lowered[i] = (out.code(g),)
+            else:
+                lowered[i] = tuple(k for sub in _LOWERING[g.kind](g, base) for k in lower(sub))
+        return lowered[i]
 
-    once = _once_each(lower)
-    out = tuple(h for g in c.gates for h in once(g))
-    return Circuit(c.n_qubits, c.n_ancillas + top - base, out)
+    per_entry = [lower(g) for g in c.table]
+    codes = [k for i in c.codes for k in per_entry[i]]
+    top = max((base, *(q for g in out.gates for q in g.qubits)))
+    return Circuit._from_codes(c.n_qubits, c.n_ancillas + top - base, out.gates, codes)
 
 
 def expand_to_basic(c: Circuit) -> Circuit:
@@ -409,6 +413,20 @@ def _need(strength: float, what: str) -> float:
     return strength
 
 
+# 2 pi = _TWO_PI_HI + _TWO_PI_LO to 2.5e-24; the high part has 26 significant
+# bits, so k * _TWO_PI_HI is exact for |k| < 2^27 (Cody and Waite)
+_TWO_PI_HI = float.fromhex("0x1.921fb5p+2")
+_TWO_PI_LO = float.fromhex("0x1.110b4611a6263p-24")
+
+
+def _mod_two_pi(x: float) -> float:
+    """x mod 2 pi in [0, 2 pi]: x mod fl(2 pi) within one turn of 0; beyond, the
+    k whole turns come off against the two-part 2 pi, off by k * 2.5e-24 rather
+    than the k * 2.4e-16 of fl(2 pi) while |k| < 2^27."""
+    k = math.floor(x / (2.0 * _PI)) if abs(x) >= 2.0 * _PI else 0
+    return ((x - k * _TWO_PI_HI) - k * _TWO_PI_LO) % (2.0 * _PI)
+
+
 # fundamental gate kind -> (always-on term, angle sign, divisor): a gate of
 # angle a runs its term for ((sign * a) mod 2 pi) / (divisor * strength)
 _PULSE_RULES = {"RX": ("delta", -1.0, 2.0), "RZ": ("eps", 1.0, 2.0), "XX": ("vperp", 1.0, 1.0)}
@@ -423,7 +441,8 @@ def circuit_to_pulses(c: Circuit, strengths: PulseStrengths) -> tuple[Fundamenta
     (theta mod 2 pi)/(2 eps_j), XX(chi) runs the pair term for
     (chi mod 2 pi)/vperp. A 2 pi shift changes at most the global sign.
     GPHASE gates and zero angles are dropped. Replay matches unitary(c) up
-    to global phase. Each distinct gate is compiled once per call.
+    to global phase. Each distinct gate is compiled once, and its occurrences
+    share one pulse object.
     """
     if strengths.eps.size != c.n_wires:
         raise ValueError("strengths sized for a different wire count")
@@ -440,10 +459,11 @@ def circuit_to_pulses(c: Circuit, strengths: PulseStrengths) -> tuple[Fundamenta
         where = f"wire {g.qubits[0]}" if len(g.qubits) == 1 else "wires {},{}".format(*g.qubits)
         strength = getattr(strengths, term)[tuple(q - 1 for q in g.qubits)]
         strength = _need(float(strength), f"{term} on {where}")
-        duration = ((sign * angle) % (2.0 * _PI)) / (divisor * strength)
+        duration = _mod_two_pi(sign * angle) / (divisor * strength)
         return FundamentalPulse(term, g.qubits, strength, duration)
 
-    return tuple(p for p in map(_once_each(pulse), c.gates) if p is not None)
+    compiled = [pulse(g) for g in c.table]
+    return tuple(p for p in map(compiled.__getitem__, c.codes) if p is not None)
 
 
 def replay_pulses(pulses: tuple[FundamentalPulse, ...], n_wires: int) -> np.ndarray:
@@ -473,23 +493,15 @@ def replay_pulses(pulses: tuple[FundamentalPulse, ...], n_wires: int) -> np.ndar
 def pulses_to_csv(pulses: tuple[FundamentalPulse, ...]) -> str:
     """CSV rows term,qubits,strength,duration in execution order.
 
-    Each distinct pulse is formatted once per call.
+    No field can hold a comma, quote or line break, so rows are formatted
+    directly, each pulse object once per call: circuit_to_pulses gives all
+    occurrences of a gate the same one.
     """
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-
-    def row(fields: list[str]) -> str:
-        buf.seek(0)
-        buf.truncate()
-        w.writerow(fields)
-        return buf.getvalue()
-
-    def pulse_row(p: FundamentalPulse) -> str:
-        qubits = " ".join(str(q) for q in p.qubits)
-        return row([p.term, qubits, f"{p.strength:.17g}", f"{p.duration:.17g}"])
-
-    header = row(["term", "qubits", "strength", "duration"])
-    return header + "".join(map(_once_each(pulse_row), pulses))
+    pulses = tuple(pulses)  # keeps every pulse alive, so no id is reused below
+    rows = {id(p): p for p in pulses}
+    for key, p in rows.items():
+        rows[key] = f"{p.term},{' '.join(map(str, p.qubits))},{p.strength:.17g},{p.duration:.17g}\n"
+    return "term,qubits,strength,duration\n" + "".join(rows[id(p)] for p in pulses)
 
 
 def pulses_from_csv(text: str) -> tuple[FundamentalPulse, ...]:

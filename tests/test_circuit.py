@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
+import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from walkforge import (
     trotterize,
     unitary,
 )
-from walkforge.circuit import _MONOMIAL, _applications, _gate_matrix, _power_pays, _repeated_block, _run
+from walkforge.circuit import _MONOMIAL, _Table, _applications, _gate_matrix, _period, _power_pays, _run
 
 rng = np.random.default_rng(271828)
 
@@ -320,8 +322,9 @@ def _trotter_circuits():
 def test_trotter_unitary_matches_gate_by_gate(c, steps):
     """The step raised to the power N equals the product of all N steps' gates,
     and entries between the ancilla-down and ancilla-up sectors stay exact zeros."""
-    block, reps = _repeated_block(c.gates)
-    assert reps % steps == 0 and _power_pays(len(block), reps, c.n_wires)
+    p = _period(c.codes)
+    reps = len(c.codes) // p
+    assert reps % steps == 0 and _power_pays(p, reps, c.n_wires)
     u = unitary(c)
     want = _run(c, np.eye(1 << c.n_wires, dtype=complex))
     assert np.max(np.abs(u - want)) <= 1e-12
@@ -339,19 +342,23 @@ def test_aperiodic_unitary_is_bit_identical():
     """A circuit with no repeated block takes the gate-by-gate path unchanged."""
     gates = tuple(Gate("RX", (q % 3 + 1,), (0.1 * q,)) for q in range(40)) + (Gate("CNOT", (1, 3)),)
     c = Circuit(3, 0, gates)
-    assert _repeated_block(c.gates) == (c.gates, 1)
+    assert _period(c.codes) == len(c.codes)
     assert np.array_equal(unitary(c), _run(c, np.eye(8, dtype=complex)))
 
 
 def test_repeated_block_is_the_shortest_period():
     """The block is the shortest prefix whose repetition is the whole tuple."""
     a, b, d = Gate("X", (1,)), Gate("H", (1,)), Gate("RZ", (1,), (0.5,))
-    assert _repeated_block((a, b) * 3) == ((a, b), 3)
-    assert _repeated_block((a,) * 4) == ((a,), 4)
-    assert _repeated_block((a, b, a, b, a, b, a, b)) == ((a, b), 4)
-    assert _repeated_block((a, b, a, d)) == ((a, b, a, d), 1)
-    assert _repeated_block((a, b, a)) == ((a, b, a), 1)
-    assert _repeated_block(()) == ((), 1)
+
+    def period(gates):
+        return _period(Circuit(1, 0, gates).codes)
+
+    assert period((a, b) * 3) == 2
+    assert period((a,) * 4) == 1
+    assert period((a, b, a, b, a, b, a, b)) == 2
+    assert period((a, b, a, d)) == 4
+    assert period((a, b, a)) == 3
+    assert period(()) == 0
 
 
 def test_power_rule_counts():
@@ -548,3 +555,79 @@ def test_circuit_text_reports_the_first_bad_line_after_repeats():
         circuit_from_text("QUBITS 2 ANCILLAS 0\n" + good + "FOO q1\nRZ q1 nan\n" + good)
     with pytest.raises(ValueError, match="must be finite"):
         circuit_from_text("QUBITS 2 ANCILLAS 0\n" + good + "RZ q1 nan\n" + good)
+
+
+def test_gate_hash_survives_a_pickle_round_trip():
+    """The hash is computed once per gate and rebuilt, not stored, on unpickling;
+    a zero of either sign still makes equal gates."""
+    g = Gate("MCRX", (3, 1, 2), (0.25,), (1, 0))
+    data = pickle.dumps(g)
+    assert b"_hash" not in data
+    back = pickle.loads(data)
+    assert back == g and hash(back) == hash(g)
+    assert Gate("RZ", (1,), (0.0,)) == Gate("RZ", (1,), (-0.0,))
+    assert hash(Gate("RZ", (1,), (0.0,))) == hash(Gate("RZ", (1,), (-0.0,)))
+
+
+def test_signed_zeros_get_separate_table_entries():
+    """RZ(0.0) and RZ(-0.0) are equal gates with two codes, and each prints as itself."""
+    pos, neg = Gate("RZ", (1,), (0.0,)), Gate("RZ", (1,), (-0.0,))
+    c = Circuit(1, 0, (pos, neg, pos, neg))
+    assert c.table == (pos, neg) and c.codes == (0, 1, 0, 1)
+    assert [repr(g) for g in c.table] == [repr(pos), repr(neg)]
+    assert circuit_to_text(c) == "QUBITS 1 ANCILLAS 0\nRZ q1 0\nRZ q1 -0\nRZ q1 0\nRZ q1 -0\n"
+    assert circuit_from_text(circuit_to_text(c)).codes == (0, 1, 0, 1)
+    assert c == Circuit(1, 0, (pos,) * 4)  # equality goes by the gates
+
+
+def test_table_make_builds_each_gate_once_and_keeps_zeros_apart():
+    t = _Table()
+    assert t.make("RZ", (1,), (0.5,)) == t.make("RZ", (1,), (0.5,)) == 0
+    assert t.make("RZ", (1,), (0.0,)) == 1 and t.make("RZ", (1,), (-0.0,)) == 2
+    assert t.make("RZ", (1,), (0.0,)) == 1
+    assert t.code(Gate("RZ", (1,), (0.5,))) == 0
+    assert [repr(g.params) for g in t.gates] == ["(0.5,)", "(0.0,)", "(-0.0,)"]
+
+
+def test_replace_reinterns_its_gates():
+    """dataclasses.replace builds the table afresh and still checks every wire."""
+    c = _trotter16()
+    k = next(i for i, g in enumerate(c.gates) if g.kind == "RZ")
+    flipped = replace(c.gates[k], params=(-c.gates[k].params[0],))
+    gates = c.gates[:k] + (flipped,) + c.gates[k + 1:]
+    d = replace(c, gates=gates)
+    assert d.gates == gates and d.table == tuple(dict.fromkeys(gates))
+    assert d.codes == tuple(d.table.index(g) for g in gates)
+    with pytest.raises(ValueError, match="beyond"):
+        replace(c, gates=c.gates + (Gate("H", (c.n_wires + 1,)),))
+
+
+def test_trotterize_constructor_and_text_build_the_same_circuit():
+    """Fresh gate objects and the parsed text intern to trotterize's own table and codes."""
+    c = trotterize(encode_binary(build_line(6, eps=(0.3, -0.2, 0.1, 0.5, 0.0, 0.7))), 0.9, TrotterPlan(5))
+    fresh = Circuit(c.n_qubits, c.n_ancillas, tuple(Gate(g.kind, g.qubits, g.params, g.polarities) for g in c.gates))
+    parsed = circuit_from_text(circuit_to_text(c))
+    assert c == fresh == parsed
+    assert c.table == fresh.table == parsed.table and len(c.table) < len(c.codes)
+    assert c.codes == fresh.codes == parsed.codes
+
+
+def _brute_force_period(codes: tuple[int, ...]) -> int:
+    n = len(codes)
+    return next((p for p in range(1, n + 1) if n % p == 0 and all(codes[i] == codes[i % p] for i in range(n))), 0)
+
+
+def test_period_matches_a_brute_force_search():
+    """Random code sequences, periodic ones among them, and ones that repeat a
+    code or a prefix without repeating as a whole."""
+    gen = np.random.default_rng(8128)
+    cases = [(), (0,), (0, 1, 0), (0, 1, 0, 2), (0, 1, 0, 1, 0), (0, 0, 1, 0, 0, 1, 0, 0), (0, 1) * 5 + (0,)]
+    for _ in range(400):
+        block = tuple(int(k) for k in gen.integers(0, int(gen.integers(1, 4)), int(gen.integers(1, 7))))
+        codes = block * int(gen.integers(1, 6))
+        if gen.random() < 0.5 and codes:
+            i = int(gen.integers(len(codes)))
+            codes = codes[:i] + (int(gen.integers(0, 3)),) + codes[i + 1:]
+        cases.append(codes)
+    for codes in cases:
+        assert _period(codes) == _brute_force_period(codes), codes

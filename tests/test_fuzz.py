@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from walkforge import (
     PauliHamiltonian,
     PauliString,
     WalkGraph,
+    apply,
     circuit_from_text,
     circuit_to_text,
     graph_from_json,
@@ -29,6 +31,7 @@ from walkforge import (
     pulses_from_csv,
     pulses_to_csv,
     replay_pulses,
+    gate_conventions,
     unitary,
 )
 from walkforge.circuit import _GATES
@@ -167,6 +170,42 @@ def test_circuit_text_accepts_or_raises_value_error(text):
     assert circuit_from_text(circuit_to_text(c)) == c
     if c.n_wires <= 5:
         unitary(c)
+
+
+def _kron_reference(c: Circuit) -> np.ndarray:
+    """Product of full-register gate matrices, each the kron of the gate's own
+    matrix with the identity, its rows and columns then moved to the gate's wires."""
+    w = c.n_wires
+    conv = gate_conventions()
+    u = np.eye(1 << w, dtype=complex)
+    for g in c.gates:
+        if g.kind == "GPHASE":
+            local = np.exp(1j * np.array([[g.params[0]]]))
+        elif g.kind in ("MCX", "MCRX"):
+            m = len(g.polarities)
+            local = np.eye(2 << m, dtype=complex)
+            on = 2 * sum(b << (m - 1 - i) for i, b in enumerate(g.polarities))
+            local[on:on + 2, on:on + 2] = conv["X"] if g.kind == "MCX" else conv["RX"](*g.params)
+        else:
+            local = conv[g.kind](*g.params) if g.params else conv[g.kind]
+        order = list(g.qubits) + [q for q in range(1, w + 1) if q not in g.qubits]
+        # index j of the kron's wire order is basis index place[j]
+        place = [sum(((j >> (w - 1 - i)) & 1) << (w - q) for i, q in enumerate(order)) for j in range(1 << w)]
+        full = np.empty((1 << w, 1 << w), dtype=complex)
+        full[np.ix_(place, place)] = np.kron(local, np.eye(1 << (w - len(g.qubits))))
+        u = full @ u
+    return u
+
+
+@_SETTINGS
+@given(_circuits(), st.integers(1, 4))
+def test_unitary_and_apply_match_a_kron_product(c, reps):
+    """Random gate lists, repeated so that unitary may square a block."""
+    c = Circuit(c.n_qubits, c.n_ancillas, c.gates * reps)
+    want = _kron_reference(c)
+    assert np.max(np.abs(unitary(c) - want), initial=0.0) <= 1e-12
+    psi = np.arange(1, (1 << c.n_wires) + 1) * (1 - 0.5j)
+    assert np.max(np.abs(apply(c, psi) - want @ psi)) <= 1e-12 * np.max(np.abs(psi))
 
 
 _DURATIONS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)

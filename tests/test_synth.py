@@ -22,6 +22,7 @@ from walkforge import (
     build_line,
     build_qft_circuit,
     circuit_to_pulses,
+    circuit_to_text,
     encode_binary,
     exact_propagator,
     expand_to_basic,
@@ -205,6 +206,21 @@ def test_time_sliced_accepts_walk_graph_segments():
     c = time_sliced(sched, TrotterPlan(8))
     want = exact_propagator(walk_matrix(g), 0.4)
     assert unitary_distance(_block(c), want) < 1e-2
+
+
+def test_time_sliced_equals_its_segments_joined_by_hand():
+    """Three segments, one of them needing no ancilla: the same gates and the
+    same circuit text as the three Trotter circuits concatenated."""
+    z_only = PauliHamiltonian(2, ((0.4, PauliString(2, "ZI")), (-0.3, PauliString(2, "IZ"))))
+    segments = ((0.3, encode_binary(build_line(4))), (0.5, z_only), (0.2, build_cycle(4)))
+    plans = (TrotterPlan(3), TrotterPlan(2), TrotterPlan(4))
+    got = time_sliced(Schedule(segments), plans)
+    pieces = [trotterize(h if isinstance(h, PauliHamiltonian) else encode_binary(h), d, p)
+              for (d, h), p in zip(segments, plans)]
+    assert [p.n_ancillas for p in pieces] == [1, 0, 0]
+    joined = Circuit(2, 1, tuple(g for p in pieces for g in p.gates))
+    assert got.gates == joined.gates and got.table == joined.table
+    assert circuit_to_text(got) == circuit_to_text(joined)
 
 
 def test_time_sliced_rejects_plan_mismatch():
@@ -419,6 +435,28 @@ def test_pulse_angles_reduce_modulo_two_pi(kind, angle):
     assert pulses[0].strength * pulses[0].duration < 2.0 * math.pi
     tol = max(1e-12, float(np.spacing(angle)))
     assert unitary_distance(replay_pulses(pulses, 2), unitary(c)) <= tol
+
+
+@pytest.mark.parametrize("kind, angle", [("RZ", 1e6), ("RX", -1e6), ("XX", 1e5)])
+def test_large_angles_replay_to_rounding(kind, angle):
+    """Beyond one turn the turns come off against a two-part 2 pi, so even
+    150,000 of them leave the replay within 1e-12 of the gate."""
+    gate = Gate(kind, (1, 2) if kind == "XX" else (2,), (angle,))
+    c = Circuit(2, 0, (gate,))
+    pulses = circuit_to_pulses(c, uniform_strengths(2, 0.7))
+    assert len(pulses) == 1 and 0.0 <= pulses[0].duration
+    assert unitary_distance(replay_pulses(pulses, 2), unitary(c)) <= 1e-12
+
+
+def test_durations_within_one_turn_reduce_modulo_the_float_two_pi():
+    """Inside (-2 pi, 2 pi) a duration is (sign * angle mod fl(2 pi)) / (divisor * strength), bit for bit."""
+    angles = [0.3, -0.3, 6.28, -6.28, math.nextafter(2 * math.pi, 0.0), -math.nextafter(2 * math.pi, 0.0), 1e-300]
+    s = uniform_strengths(2, 0.7)
+    for a in angles:
+        for kind, sign, divisor in (("RX", -1.0, 2.0), ("RZ", 1.0, 2.0), ("XX", 1.0, 1.0)):
+            c = Circuit(2, 0, (Gate(kind, (1, 2) if kind == "XX" else (1,), (a,)),))
+            (p,) = circuit_to_pulses(c, s)
+            assert p.duration == ((sign * a) % (2.0 * math.pi)) / (divisor * 0.7)
 
 
 def test_pulse_replay_cnot():
