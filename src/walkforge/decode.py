@@ -15,7 +15,7 @@ import numpy as np
 from ._config import check_qubit_count
 from .circuit import Gate
 from .encode import _index_labels
-from .pauli import PauliHamiltonian, PauliString, to_matrix
+from .pauli import PauliHamiltonian, PauliString, _from_masks, to_matrix
 from .walkgraph import WalkGraph
 
 __all__ = [
@@ -85,31 +85,23 @@ class StaticQubitHamiltonian:
 def static_to_pauli(h: StaticQubitHamiltonian) -> PauliHamiltonian:
     """Expand the coupling template into explicit Pauli terms."""
     n = h.n_qubits
-
-    def one(letter: str, a: int) -> PauliString:
-        return PauliString(n, "I" * a + letter + "I" * (n - a - 1))
-
-    def two(la: str, a: int, lb: str, b: int) -> PauliString:
-        letters = ["I"] * n
-        letters[a], letters[b] = la, lb
-        return PauliString(n, "".join(letters))
-
+    bit = [1 << (n - 1 - a) for a in range(n)]  # qubit a + 1's mask bit
     terms: list[tuple[complex, PauliString]] = []
     for a in range(n):
         if h.eps[a] != 0.0:
-            terms.append((-h.eps[a], one("Z", a)))
+            terms.append((-h.eps[a], _from_masks(n, 0, bit[a])))  # Z_a
         if h.delta[a] != 0.0:
-            terms.append((-h.delta[a], one("X", a)))
+            terms.append((-h.delta[a], _from_masks(n, bit[a], 0)))  # X_a
     for a in range(n):
         for b in range(n):
             if a != b and h.chi[a, b] != 0.0:
-                terms.append((h.chi[a, b], two("Z", a, "X", b)))
+                terms.append((h.chi[a, b], _from_masks(n, bit[b], bit[a])))  # Z_a X_b
     for a in range(n):
         for b in range(a + 1, n):
             if h.vperp[a, b] != 0.0:
-                terms.append((-h.vperp[a, b], two("X", a, "X", b)))
+                terms.append((-h.vperp[a, b], _from_masks(n, bit[a] | bit[b], 0)))  # X_a X_b
             if h.vpar[a, b] != 0.0:
-                terms.append((h.vpar[a, b], two("Z", a, "Z", b)))
+                terms.append((h.vpar[a, b], _from_masks(n, 0, bit[a] | bit[b])))  # Z_a Z_b
     return PauliHamiltonian(n, tuple(terms))
 
 
@@ -144,7 +136,10 @@ def matrix_to_walk(h: PauliHamiltonian) -> WalkGraph:
     check_qubit_count(h.m_qubits, "matrix decode")
     mat = to_matrix(h)
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T.conj())) > 1e-12 * scale:
+    # Real coefficients realize an exactly Hermitian matrix: each x-mask's
+    # transform gives out[k, k ^ x] the conjugate of out[k ^ x, k] bit for bit
+    # (up to the sign of zero), so only complex ones need the dense scan.
+    if any(c.imag for c, _ in h.terms) and np.max(np.abs(mat - mat.T.conj())) > 1e-12 * scale:
         raise ValueError("matrix is not hermitian")
     if np.max(np.abs(mat.imag)) > 1e-12 * scale:
         raise ValueError("not a stoquastic-form walk; complex amplitudes unsupported")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString, _symmetric_decomposition
+from .pauli import PauliHamiltonian, PauliString, _from_masks, _symmetric_decomposition
 from .walkgraph import WalkGraph, build_line
 
 __all__ = [
@@ -90,14 +90,14 @@ def encode_single_excitation(g: WalkGraph) -> PauliHamiltonian:
     m = g.n_nodes
     terms: list[tuple[complex, PauliString]] = []
     for i, j, delta in g.edges:
-        for letter in ("X", "Y"):
-            s = "".join(letter if q in (i, j) else "I" for q in range(m))
-            terms.append((-delta / 2.0, PauliString(m, s)))
+        pair = 1 << (m - 1 - i) | 1 << (m - 1 - j)
+        terms.append((-delta / 2.0, _from_masks(m, pair, 0)))  # X_i X_j
+        terms.append((-delta / 2.0, _from_masks(m, pair, pair)))  # Y_i Y_j
     for j, eps in enumerate(g.onsite):
         if eps == 0.0:
             continue
-        terms.append((eps / 2.0, PauliString(m, "I" * m)))
-        terms.append((eps / 2.0, PauliString(m, "I" * j + "Z" + "I" * (m - j - 1))))
+        terms.append((eps / 2.0, _from_masks(m, 0, 0)))
+        terms.append((eps / 2.0, _from_masks(m, 0, 1 << (m - 1 - j))))  # Z_j
     return PauliHamiltonian(m, tuple(terms))
 
 
@@ -187,9 +187,7 @@ def hyperlattice_qubit_hamiltonian(
     terms: list[tuple[complex, PauliString]] = []
     for ax in range(d):
         h_line = line_qubit_hamiltonian(n, deltas=delta_ax[ax], eps=eps_ax[ax])
-        off = ax * n
-        pad_left = "I" * off
-        pad_right = "I" * (m_total - off - n)
-        for c, s in h_line.terms:
-            terms.append((c, PauliString(m_total, pad_left + s.letters + pad_right, s.phase)))
+        shift = m_total - (ax + 1) * n  # the axis block's lowest bit
+        for c, (_, x, z, phase) in h_line.terms:
+            terms.append((c, _from_masks(m_total, x << shift, z << shift, phase)))
     return PauliHamiltonian(m_total, tuple(terms))

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString
+from .pauli import PauliHamiltonian, PauliString, _from_masks
 from .walkgraph import WalkGraph, walk_matrix
 
 __all__ = [
@@ -66,12 +66,12 @@ def xy_hamiltonian(c: XYChain) -> PauliHamiltonian:
     n = c.n_sites
     terms: list[tuple[complex, PauliString]] = []
     for i, j_bond in enumerate(c.j):
-        for letter in ("X", "Y"):
-            s = "I" * i + letter + letter + "I" * (n - i - 2)
-            terms.append((-j_bond / 2.0, PauliString(n, s)))
+        bond = 3 << (n - 2 - i)  # sites i and i + 1
+        terms.append((-j_bond / 2.0, _from_masks(n, bond, 0)))  # X X
+        terms.append((-j_bond / 2.0, _from_masks(n, bond, bond)))  # Y Y
     if c.h != 0.0:
         for i in range(n):
-            terms.append((c.h / 2.0, PauliString(n, "I" * i + "Z" + "I" * (n - i - 1))))
+            terms.append((c.h / 2.0, _from_masks(n, 0, 1 << (n - 1 - i))))  # Z_i
     return PauliHamiltonian(n, tuple(terms))
 
 

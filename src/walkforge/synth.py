@@ -90,9 +90,10 @@ class Schedule:
 
 
 def _term_sort_key(item: tuple[complex, PauliString]) -> tuple:
+    """Z/I-only strings first, then by support; the sort is stable and a
+    hamiltonian's terms already sort by letters, which breaks the ties."""
     _, s = item
-    diagonal = 0 if set(s.letters) <= {"I", "Z"} else 1
-    return (diagonal, s.support, s.letters)
+    return (s.x != 0, s.support)
 
 
 def _ordered_terms(h: PauliHamiltonian, ordering: str) -> list[tuple[float, PauliString]]:
@@ -113,11 +114,10 @@ def _synth_term(coeff: float, s: PauliString, delta: float, make) -> list[int]:
     support = s.support
     if not support:
         return [make("GPHASE", (), (-angle,))]
-    letters = [s.letters[q - 1] for q in support]
     if len(support) == 1:
-        kind = {"X": "RX", "Y": "RY", "Z": "RZ"}[letters[0]]
+        kind = ("RX", "RZ", "RY")[(s.x != 0) + 2 * (s.z != 0) - 1]
         return [make(kind, (support[0],), (2.0 * angle,))]
-    if len(support) == 2 and letters == ["X", "X"]:
+    if len(support) == 2 and not s.z:
         return [make("XX", support, (-angle,))]
     return _evolution(s, angle, (), make)
 
@@ -207,28 +207,24 @@ def _evolution(
     string: PauliString, theta: float, controls: tuple[tuple[int, int], ...], make
 ) -> list[int]:
     """The codes of synth_pauli_evolution's gates, each made by make (see _Table.make)."""
-    if string.phase != 1:
+    m, x, z, phase = string
+    if phase != 1:
         raise ValueError("string must carry no phase factor")
     support = string.support
     if not support:
         raise ValueError("pauli string has empty support")
-    m = string.m_qubits
     anc = m + 1
     ctrl_qubits = tuple(q for q, _ in controls)
     if set(ctrl_qubits) & set(support):
         raise ValueError("projector controls must be disjoint from the string support")
     if any(not 1 <= q <= m for q in ctrl_qubits):
         raise ValueError("projector controls out of range")
-    n_z = sum(1 for q in support if string.letters[q - 1] == "Z")
-    tt = float(theta) * (-1.0) ** n_z
-    turned = [(q, string.letters[q - 1]) for q in support if string.letters[q - 1] in "XY"]
+    tt = float(theta) * (-1.0) ** (z & ~x).bit_count()  # one sign per Z letter
+    turned = [(q, z >> (m - q) & 1) for q in support if x >> (m - q) & 1]  # (qubit, is Y)
 
     def basis_change(sign: float) -> list[int]:
         """H on X letters, RX(sign pi / 2) on Y letters: -1 enters, +1 leaves."""
-        return [
-            make("H", (q,)) if letter == "X" else make("RX", (q,), (sign * _PI / 2,))
-            for q, letter in turned
-        ]
+        return [make("RX", (q,), (sign * _PI / 2,)) if is_y else make("H", (q,)) for q, is_y in turned]
 
     enter = basis_change(-1.0)
     ladder = [make("CNOT", (q, anc)) for q in support]

@@ -442,6 +442,15 @@ def test_non_finite_and_ambiguous_inputs_exit_two(tmp_path, capsys, argv, name, 
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text", ["QUBITS 2 3\n1 * X1\n", "QUBITS 2\n1 * X+1\n", "QUBITS 12\n1 * X1_0\n", "QUBITS 2\n1 * X\u0661\n"])
+def test_decode_rejects_pauli_text_the_writer_never_writes(tmp_path, capsys, text):
+    """Header junk, signed, underscored and non-ASCII qubit indices are parse errors (exit 2)."""
+    path = tmp_path / "h.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(["decode", str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 _DEEP = "[" * 100_000 + "]" * 100_000
 _STATIC_OK = {"n": 1, "eps": [0], "delta": [0], "chi": [[0]], "vperp": [[0]], "vpar": [[0]]}
 

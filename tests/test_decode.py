@@ -222,6 +222,46 @@ def test_matrix_to_walk_rejects_non_hermitian():
         matrix_to_walk(h)
 
 
+def _hop_with_xy(imag: float) -> PauliHamiltonian:
+    """A hop on two qubits plus an XY term with an imaginary coefficient, which
+    adds a real antisymmetric part of size 2 * imag."""
+    return PauliHamiltonian(2, ((-0.5, PauliString(2, "XX")), (-0.5, PauliString(2, "YY")), (imag * 1j, PauliString(2, "XY"))))
+
+
+def test_matrix_to_walk_rejects_a_small_antisymmetric_part():
+    """An imaginary coefficient still runs the dense check: 1e-6 is refused."""
+    with pytest.raises(ValueError, match="matrix is not hermitian"):
+        matrix_to_walk(_hop_with_xy(1e-6))
+
+
+def test_matrix_to_walk_accepts_an_antisymmetric_part_within_the_tolerance():
+    """A 1e-13j XY term passes the dense 1e-12 check, though is_hermitian()
+    refuses it, and decodes to the graph read off the dense matrix."""
+    h = _hop_with_xy(1e-13)
+    assert not h.is_hermitian()
+    mat = to_matrix(h).real
+    g = matrix_to_walk(h)
+    rows, cols = np.nonzero(np.triu(np.abs(mat) > 1e-14, 1))
+    assert g.edges == tuple((int(r), int(c), float(-mat[r, c])) for r, c in zip(rows, cols))
+    assert g.onsite == (0.0,) * 4
+    assert abs(dict(((j, i), w) for j, i, w in g.edges)[1, 2] - 1.0) <= 3e-13
+
+
+def test_real_coefficients_realize_an_exactly_hermitian_matrix():
+    """The premise of matrix_to_walk's skipped scan: with real coefficients,
+    strings with odd Y counts included, to_matrix equals its conjugate
+    transpose bit for bit, for coefficients over 40 orders of magnitude."""
+    local = np.random.default_rng(2718)
+    for _ in range(40):
+        m = int(local.integers(1, 6))
+        terms = tuple(
+            (float(local.normal() * 10.0 ** local.integers(-20, 20)), PauliString(m, "".join(local.choice(list("IXYZ"), m))))
+            for _ in range(int(local.integers(1, 4**m + 1)))
+        )
+        mat = to_matrix(PauliHamiltonian(m, terms))
+        assert np.array_equal(mat, mat.conj().T)
+
+
 def test_pulse_edges_single_x():
     """An X drive on qubit 1 of 3 connects every index pair differing in that bit."""
     out = pulse_to_walk_edges(Gate("RX", (1,), (0.4,)), 3)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,7 @@ from walkforge import (
     unitary,
 )
 from walkforge.circuit import _GATES
+from walkforge.pauli import _from_masks
 
 _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -115,6 +117,34 @@ def test_pauli_text_round_trips(h):
 )
 def test_pauli_text_accepts_or_raises_value_error(text):
     _parses_or_value_error(hamiltonian_from_text, text)
+
+
+@_SETTINGS
+@given(
+    st.integers(1, 70).flatmap(lambda m: st.text(alphabet="IXYZ", min_size=m, max_size=m)),
+    st.sampled_from([1, -1, 1j, -1j]),
+)
+def test_pauli_letters_round_trip_through_masks(letters, phase):
+    s = PauliString(len(letters), letters, phase)
+    assert s.x == int("".join("1" if l in "XY" else "0" for l in letters), 2)
+    assert s.z == int("".join("1" if l in "YZ" else "0" for l in letters), 2)
+    assert s.letters == letters
+    assert _from_masks(len(letters), s.x, s.z, phase) == s
+
+
+@_SETTINGS
+@given(
+    st.sampled_from("XYZ"),
+    st.text(st.characters(exclude_categories=("Cc", "Zs", "Zl", "Zp")), max_size=4) | st.sampled_from(["+1", "1_0", "\u0661", "01"]),
+)
+def test_pauli_qubit_index_is_ascii_digits_in_range(letter, index):
+    """A token parses exactly when its index is ASCII digits naming a qubit."""
+    text = f"QUBITS 12\n1 * {letter}{index}\n"
+    if index.isascii() and index.isdigit() and 1 <= int(index) <= 12:
+        assert hamiltonian_from_text(text).terms[0][1].support == (int(index),)
+    else:
+        with pytest.raises(ValueError):
+            hamiltonian_from_text(text)
 
 
 @st.composite

@@ -1,7 +1,9 @@
 """Pauli string algebra, dense realization, and the text serialization."""
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from walkforge import (
     PauliHamiltonian,
     PauliString,
+    WalkGraph,
+    build_cycle,
     build_hypercube,
     encode_binary,
     hamiltonian_from_text,
@@ -19,7 +23,7 @@ from walkforge import (
     to_matrix,
     walk_matrix,
 )
-from walkforge.pauli import _symmetric_decomposition
+from walkforge.pauli import _from_masks, _symmetric_decomposition, _walsh_hadamard
 
 rng = np.random.default_rng(31415)
 
@@ -324,3 +328,170 @@ def test_text_rejects_repeated_qubit(term):
     """A term naming one qubit twice is ambiguous and refused."""
     with pytest.raises(ValueError, match="appears twice"):
         hamiltonian_from_text(f"QUBITS 2\n{term}\n")
+
+
+def _masks_by_hand(letters: str) -> tuple[int, int]:
+    """X/Y and Z/Y masks of a letter string, qubit 1 the high bit."""
+    x = sum(1 << (len(letters) - 1 - q) for q, l in enumerate(letters) if l in "XY")
+    z = sum(1 << (len(letters) - 1 - q) for q, l in enumerate(letters) if l in "ZY")
+    return x, z
+
+
+def test_strings_from_letters_and_from_masks_are_one_record():
+    """Letters and masks build equal, equally hashed strings that survive
+    pickling and copying; a string equals no plain tuple."""
+    for _ in range(50):
+        m = int(rng.integers(1, 40))
+        letters = "".join(rng.choice(list("IXYZ"), size=m))
+        phase = complex(rng.choice([1, -1, 1j, -1j]))
+        a = PauliString(m, letters, phase)
+        b = _from_masks(m, *_masks_by_hand(letters), phase)
+        assert (a.m_qubits, a.x, a.z, a.phase) == (m, *_masks_by_hand(letters), phase)
+        assert a == b and hash(a) == hash(b) and not a != b
+        assert b.letters == letters
+        assert b.support == tuple(q + 1 for q, l in enumerate(letters) if l != "I")
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert type(twin) is PauliString and twin == a and twin.letters == letters
+    assert PauliString(2, "XI") != PauliString(2, "XI", -1)
+    assert PauliString(2, "XI") != tuple(PauliString(2, "XI"))
+    assert tuple(PauliString(2, "XI")) != PauliString(2, "XI")
+    with pytest.raises(AttributeError):
+        PauliString(2, "XI").x = 0
+
+
+def test_pauli_string_repr_names_the_letters():
+    assert repr(PauliString(3, "XIY", -1j)) == "PauliString(m_qubits=3, letters='XIY', phase=(-0-1j))"
+
+
+def _near_misses(m: int, base: str) -> set[str]:
+    """base with one letter replaced, at the first and last qubits and on
+    both sides of the 31-bit chunk edges (counted from the last qubit), so
+    that the order is decided there."""
+    bits = (0, 1, 29, 30, 31, 32, 60, 61, 62, 63, m - 2, m - 1)
+    positions = {m - 1 - b for b in bits if 0 <= b < m}
+    return {base[:p] + l + base[p + 1 :] for p in positions for l in "IXYZ"}
+
+
+@pytest.mark.parametrize("m", [3, 28, 40, 70])
+def test_canonical_order_is_the_letter_order(m, monkeypatch):
+    """Terms sort exactly as their letter strings, past one uint64 of digits
+    (40) and past 64-bit masks (70), and survive the text round trip."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", str(max(14, (m + 1) // 2)))
+    local = np.random.default_rng(m)
+    letters = {"".join(local.choice(list("IXYZ"), size=m)) for _ in range(200)}
+    letters |= _near_misses(m, min(letters)) | {"I" * m, "Z" * m}
+    h = PauliHamiltonian(m, tuple((float(local.normal()) + 2.0, PauliString(m, l)) for l in letters))
+    assert [s.letters for _, s in h.terms] == sorted(letters)
+    assert hamiltonian_from_text(hamiltonian_to_text(h)) == h
+
+
+def _per_mask_decomposition(m: int, entries) -> list[tuple[str, complex]]:
+    """The decomposition one x-mask at a time with one vector each, as
+    (letters, coefficient) in letter order."""
+    dim = 1 << m
+    by_mask: dict[int, list] = {}
+    for row, col, value in entries:
+        by_mask.setdefault(row ^ col, []).append((row, value))
+    terms = {}
+    for x, items in by_mask.items():
+        d = np.zeros(dim)
+        for row, value in items:
+            d[row] += value
+        _walsh_hadamard(d, m)
+        for z in np.flatnonzero(d).tolist():
+            n_y = bin(x & z).count("1")
+            if n_y % 2 == 0:
+                c = (-1.0 if (n_y // 2 + bin(z).count("1")) % 2 else 1.0) * d[z] / dim
+                if abs(c) > 1e-14:
+                    terms["".join("IXZY"[(x >> b & 1) | (z >> b & 1) << 1] for b in range(m - 1, -1, -1))] = complex(c)
+    return sorted(terms.items())
+
+
+@pytest.mark.parametrize("cap", [None, "3", "7"])
+def test_batched_decomposition_equals_one_transform_per_mask(cap, monkeypatch):
+    """Blocks of one row (cap 3), two rows (cap 7) or all rows (the default
+    cap) give the per-mask coefficients bit for bit, term for term."""
+    if cap is not None:
+        monkeypatch.setenv("WALKFORGE_MAX_QUBITS", cap)
+    m, dim = 6, 64
+    for density in (0.05, 0.3):
+        a = np.triu(np.where(rng.random((dim, dim)) < density, rng.normal(size=(dim, dim)), 0.0))
+        a = a + np.triu(a, 1).T
+        entries = [(int(r), int(c), a[r, c]) for r, c in zip(*np.nonzero(a))]
+        h = _symmetric_decomposition(m, entries)
+        assert [(s.letters, c) for c, s in h.terms] == _per_mask_decomposition(m, entries)
+
+
+def test_decomposition_refuses_an_overflowing_coefficient():
+    """A sum past the float range is an error, not an infinite coefficient."""
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+        _symmetric_decomposition(1, [(0, 0, 1.7e308), (1, 1, 1.7e308)])
+
+
+def _text_by_letters(h: PauliHamiltonian) -> str:
+    """The Pauli text format written from the letters view: one 'X3' token
+    per non-identity letter."""
+    lines = [f"QUBITS {h.m_qubits}"]
+    for c, s in h.terms:
+        coeff = f"{c.real:.17g}" if c.imag == 0 else f"({c.real:.17g}{c.imag:+.17g}j)"
+        tokens = [f"{l}{q}" for q, l in enumerate(s.letters, 1) if l != "I"]
+        lines.append(f"{coeff} * {' '.join(tokens) or 'I'}")
+    return "\n".join(lines) + "\n"
+
+
+def _sparse_labels_graph(n: int, m: int) -> WalkGraph:
+    local = np.random.default_rng(12)
+    edges = tuple((i, j, float(local.uniform(0.5, 1.5))) for i in range(n) for j in range(i + 1, n) if local.random() < 0.5)
+    labels = tuple(format(int(v), f"0{m}b") for v in local.choice(1 << m, n, replace=False))
+    return WalkGraph(n, edges, tuple(local.uniform(-1.0, 1.0, n)), labels)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        build_cycle(256),
+        WalkGraph(20, tuple((i, j, float(rng.normal())) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.4), tuple(rng.normal(size=20))),
+        _sparse_labels_graph(6, 12),
+    ],
+    ids=["cycle256", "random20", "sparse12"],
+)
+def test_text_matches_a_letter_formatter(graph):
+    """Text written from masks equals text written from letters, byte for byte."""
+    h = encode_binary(graph)
+    assert hamiltonian_to_text(h) == _text_by_letters(h)
+
+
+def test_text_matches_a_letter_formatter_on_complex_terms():
+    """Several text pieces per term (13 qubits), complex coefficients and the identity."""
+    m = 13
+    terms = tuple(
+        (complex(rng.normal(), rng.normal() * (k % 2)), PauliString(m, "".join(rng.choice(list("IXYZ"), size=m))))
+        for k in range(200)
+    ) + ((0.5, PauliString(m, "I" * m)),)
+    h = PauliHamiltonian(m, terms)
+    assert hamiltonian_to_text(h) == _text_by_letters(h)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "QUBITS 2 3\n1 * X1\n",
+        "QUBITS +2\n1 * X1\n",
+        "QUBITS 2_0\n1 * X1\n",
+        "QUBITS \u0662\n1 * X1\n",
+        "QUBITS  2\n1 * X1\n",
+        "qubits 2\n1 * X1\n",
+        "QUBITS 2\n1 * X+1\n",
+        "QUBITS 12\n1 * X1_0\n",
+        "QUBITS 2\n1 * X\u0661\n",
+        "QUBITS 2\n1 * X\n",
+        "QUBITS 2\n1 * x1\n",
+        "QUBITS 2\n1 * X0\n",
+        "QUBITS 2\n1 * X3\n",
+    ],
+)
+def test_text_rejects_what_the_writer_never_writes(text):
+    """The header is exactly 'QUBITS <ASCII digits>' and a qubit index is
+    ASCII digits in range: no sign, underscore or non-ASCII digit."""
+    with pytest.raises(ValueError):
+        hamiltonian_from_text(text)

@@ -1,6 +1,7 @@
 """Trotterization, Pauli-evolution blocks, circuit lowering, pulses, and QFT."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -44,7 +45,7 @@ from walkforge import (
     uniform_strengths,
     walk_matrix,
 )
-from walkforge.synth import _LOWERING
+from walkforge.synth import _LOWERING, _ordered_terms
 
 rng = np.random.default_rng(1729)
 
@@ -173,6 +174,36 @@ def test_trotterize_diagonal_first_ordering():
     assert first.kind == "RZ"
     stored = trotterize(h, 1.0, TrotterPlan(1, ordering="given")).gates[0]
     assert stored.kind == "RX"
+
+
+def test_diagonal_first_order_matches_the_letter_sort():
+    """The mask-based order equals the documented one on letters: Z/I-only
+    strings first, then by support, then by letters."""
+    local = np.random.default_rng(4242)
+    for _ in range(30):
+        m = int(local.integers(1, 6))
+        terms = tuple(
+            (float(local.normal()), PauliString(m, "".join(local.choice(list("IXYZ"), m))))
+            for _ in range(int(local.integers(1, 40)))
+        )
+        h = PauliHamiltonian(m, terms)
+        want = sorted(h.terms, key=lambda t: (not set(t[1].letters) <= {"I", "Z"}, t[1].support, t[1].letters))
+        assert [s for _, s in _ordered_terms(h, "diagonal-first")] == [s for _, s in want]
+
+
+@pytest.mark.parametrize(
+    "plan, digest",
+    [
+        (TrotterPlan(4), "1936d9e7dd1bd21bc61b05e7e2f2288cc7c34d3e10bac285064e2ac56da5bb3d"),
+        (TrotterPlan(2, "given"), "bb05b5f6bc9a0321b943b7d88b3786a6ce490598474b716ed33629427cdbfdf8"),
+    ],
+)
+def test_cycle16_trotter_circuit_text_is_pinned(plan, digest):
+    """The weighted cycle(16) Trotter circuit text, term order and gates
+    included, matches its recorded sha256 byte for byte."""
+    h = encode_binary(build_cycle(16, 0.8, [0.1 * k for k in range(16)]))
+    text = circuit_to_text(trotterize(h, 0.9, plan))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_trotterize_rejects_complex_coefficients():
