@@ -15,9 +15,14 @@ column (the permutations X, CNOT, SWAP, TOFFOLI, MCX and the phases RZ,
 APHASE, CPHASE, CRK, GPHASE, found by inspecting the gate table) only relabel
 and phase basis states: a run of them composes into one index map, applied to
 the amplitudes as a single gather, so permutation circuits stay exactly 0/1.
-A one-wire dense gate is one strided matmul; wider dense gates contract their
-wires' axes. A multi-control acts by its 2 x 2 target block on the indices
-whose controls match, never as its 2^(m+1)-square matrix.
+Every other gate acts on one or two wires, as one strided matmul or one 4 x 4
+GEMM over a transposed view, or is a multi-control, which acts by its 2 x 2
+target block on the indices whose controls match, never as its
+2^(m+1)-square matrix. A run of gates that starts and ends at a dense gate,
+stays within two wires and holds at least three dense gates and a monomial
+one (a lowered CNOT or SWAP, say; on large blocks, dense gates alone) is
+fused: its 2 x 2 or 4 x 4 product is built once and applied in one pass over
+the block instead of one pass per gate.
 
 A circuit holds each distinct gate once, in a table in first-use order, and
 one integer code per occurrence. Synthesized circuits repeat a few gates many
@@ -99,6 +104,18 @@ class Gate:
 
     def __reduce__(self):  # no stored hash: string hashes differ between processes
         return Gate, (self.kind, self.qubits, self.params, self.polarities)
+
+    @classmethod
+    def _unchecked(cls, kind: str, qubits: tuple, params: tuple, polarities: tuple = ()) -> Gate:
+        """The gate of fields that already passed __post_init__ (int and float
+        tuples), such as a valid gate's moved onto other distinct wires; the
+        checks are not run again."""
+        g = object.__new__(cls)
+        g.__dict__.update(
+            kind=kind, qubits=qubits, params=params, polarities=polarities,
+            _hash=hash((kind, qubits, params, polarities)),
+        )
+        return g
 
 
 class _Table:
@@ -268,6 +285,9 @@ def _is_monomial(mat) -> bool:
 # monomial exactly when its target block is.
 _MONOMIAL = frozenset(kind for kind, (_, _, mat) in _GATES.items() if _is_monomial(mat))
 
+# Kinds on more than two wires or on any number of them: they end a fused run (see _plan).
+_WIDE = frozenset(kind for kind, (n_wires, _, _) in _GATES.items() if n_wires is None or n_wires > 2)
+
 
 def gate_conventions() -> dict[str, object]:
     """Defining matrices (index order down=0, up=1); single source of truth.
@@ -318,8 +338,16 @@ def _gather(psi: np.ndarray, dest: np.ndarray, phase: np.ndarray | None) -> np.n
     return out
 
 
-def _dense(psi: np.ndarray, qubits: tuple[int, ...], mat: np.ndarray, w: int) -> np.ndarray:
-    """Multiply the matrix into the axes of qubits of a (2^w, batch) block."""
+def _ascending(qubits: tuple[int, ...], mat: np.ndarray):
+    """(qubits, mat) of the same gate with its wires in increasing order: a
+    gate on (q2, q1) is the transposed-index form of its matrix on (q1, q2)."""
+    if len(qubits) == 2 and qubits[0] > qubits[1]:
+        return qubits[::-1], mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    return qubits, mat
+
+
+def _dense(psi: np.ndarray, qubits: tuple[int, ...], mat: np.ndarray) -> np.ndarray:
+    """Multiply the matrix into one wire, or two in increasing order, of a (2^w, batch) block."""
     if len(qubits) == 1:
         t = psi.reshape(1 << (qubits[0] - 1), 2, -1)
         # matmul makes one BLAS call per index of the axis left out of the
@@ -327,45 +355,44 @@ def _dense(psi: np.ndarray, qubits: tuple[int, ...], mat: np.ndarray, w: int) ->
         # vector and a wire near the end of the register that is the last.
         core = (1, 2) if t.shape[0] <= t.shape[2] else (1, 0)
         return np.matmul(mat, t, axes=[(0, 1), core, core]).reshape(psi.shape)
-    k = len(qubits)
-    src = [q - 1 for q in qubits]
-    batch = psi.shape[1]
-    t = psi.reshape([2] * w + [batch])
-    t = np.moveaxis(t, src, range(k))
-    t = mat @ t.reshape(1 << k, -1)
-    t = t.reshape([2] * k + [2] * (w - k) + [batch])
-    t = np.moveaxis(t, range(k), src)
-    return t.reshape(1 << w, batch)
+    # One GEMM over the pair's four index values; besides psi, at most two
+    # block-sized arrays live at once (the transposed copy and the product,
+    # then the product and the result).
+    a, b = qubits
+    t = psi.reshape(1 << (a - 1), 2, 1 << (b - a - 1), 2, -1).transpose(1, 3, 0, 2, 4)
+    shape = t.shape
+    t = mat @ t.reshape(4, -1)
+    return t.reshape(shape).transpose(2, 0, 3, 1, 4).reshape(psi.shape)
 
 
-def _prepare(g: Gate, w: int):
-    """What _run needs of one gate on w wires: a monomial gate's map (dest, phase)
-    (see _index_map), any other gate a function that applies it to a block.
+def _prepare(g: Gate, mat: np.ndarray, w: int):
+    """What _run needs of one gate with matrix mat (see _gate_matrix) on w wires:
+    a monomial gate's map (dest, phase) (see _index_map), any other gate a
+    function that applies it to a block.
 
     A multi-control is its target block on the sub-register of the basis
     indices whose controls match: those indices, in increasing order, run over
     the other wires' bits with the target in its place among them.
     """
-    mat = _gate_matrix(g)
     if _GATES[g.kind][0] is not None:
         if g.kind in _MONOMIAL:
             return _index_map(g.qubits, mat, w)
-        return lambda psi: _dense(psi, g.qubits, mat, w)
+        qubits, mat = _ascending(g.qubits, mat)
+        return lambda psi: _dense(psi, qubits, mat)
     controls, target = g.qubits[:-1], g.qubits[-1]
     mask = sum(1 << (w - q) for q in controls)
     want = sum(pol << (w - q) for q, pol in zip(controls, g.polarities))
     idx = np.arange(1 << w)
     on = idx[(idx & mask) == want]
-    n = w - len(controls)
     local = (target - sum(q < target for q in controls),)
     if g.kind not in _MONOMIAL:
         def on_matching(psi):
             out = psi.copy()
-            out[on] = _dense(psi[on], local, mat, n)
+            out[on] = _dense(psi[on], local, mat)
             return out
 
         return on_matching
-    sub, sub_phase = _index_map(local, mat, n)
+    sub, sub_phase = _index_map(local, mat, w - len(controls))
     idx[on] = on[sub]
     if sub_phase is None:
         return idx, None
@@ -374,23 +401,120 @@ def _prepare(g: Gate, w: int):
     return idx, phase
 
 
-def _run(c: Circuit, block: np.ndarray, codes: tuple[int, ...] | None = None) -> np.ndarray:
-    """Apply the circuit's gates (or those of codes) to a (2^w, batch) amplitude block.
+def _fused(gates: list[Gate], mats: list[np.ndarray], wires: tuple[int, ...]) -> np.ndarray:
+    """The product of a run of gates with these matrices, first gate rightmost,
+    on wires (one, or two in increasing order): 2 x 2 or 4 x 4."""
+    u = np.eye(1 << len(wires), dtype=complex)
+    for g, mat in zip(gates, mats):
+        if not g.qubits:  # GPHASE, a 1 x 1 scalar
+            u = mat * u
+        elif len(g.qubits) == len(wires):
+            u = _ascending(g.qubits, mat)[1] @ u
+        elif g.qubits[0] == wires[0]:  # the first of two wires: mat (x) I
+            u = (mat @ u.reshape(2, 8)).reshape(4, 4)
+        else:  # the second: I (x) mat
+            u = (mat @ u.reshape(2, 2, 4)).reshape(4, 4)
+    return u
 
-    A gate is prepared on its first code (_prepare): a dense gate's matrix, a
-    monomial gate's map of all 2^w basis indices. Monomial gates then extend
-    one pending map j -> (dest[j], phase[j]) by two gathers each; the block is
-    gathered through the map once per run of them, before the next dense gate
-    and at the end.
+
+# Amplitudes in a block from which one pass over it costs more than composing
+# a gate into a fused run's matrix (one small matmul): from there a run of
+# dense gates alone pays for fusing too (see _plan). Measured for RX, RX, XX
+# on two wires, one BLAS thread: at 256 and 1,024 amplitudes fused is 0-15 %
+# slower than gate by gate, at 4,096 (a 64 x 64 unitary or a 12-wire state)
+# 30-35 % faster.
+_FUSE_DENSE_ONLY_AMPS = 1 << 12
+
+
+def _plan(table, codes, amps: int) -> tuple[list, int]:
+    """How _run evaluates codes over table on a block of amps amplitudes:
+    (steps, passes over the block).
+
+    A step is a code, whose gate is applied alone, or a fused run: (its codes,
+    its wires in increasing order), applied as one matrix. A run starts at a
+    dense gate on one or two wires and extends while its gates stay within
+    two wires (GPHASE fits anywhere; a gate on more wires or a multi-control
+    ends it). It is cut back to its last dense gate, so the monomial gates
+    around it stay in the index maps. It is fused when it holds at least three
+    dense gates (one 4 x 4 pass costs about two to three one-wire passes) and
+    either a monomial gate, whose index map and gather fusing saves, or the
+    block has at least _FUSE_DENSE_ONLY_AMPS amplitudes. Otherwise its first
+    gate is applied alone and the scan goes on from the next. passes counts
+    one per dense gate or fused run and one per run of monomial gates between
+    them. Only integer operations run per code.
     """
-    w = c.n_wires
-    prepared = [None] * len(c.table)
+    dense = [g.kind not in _MONOMIAL for g in table]
+    # each gate's wires as a bit mask, wire q at bit q; -1 for a gate that ends runs
+    wires = [-1 if g.kind in _WIDE else sum(1 << q for q in g.qubits) for g in table]
+    dense_only = amps >= _FUSE_DENSE_ONLY_AMPS
+    steps: list = []
+    passes, mapped = 0, False
+    i, n = 0, len(codes)
+    while i < n:
+        k = codes[i]
+        if dense[k] and wires[k] > 0:
+            seen = used = wires[k]
+            count, end, j = 1, i + 1, i + 1
+            while j < n:
+                m = wires[codes[j]]
+                seen |= m
+                rest = seen & (seen - 1)
+                if m < 0 or rest & (rest - 1):  # a wide gate, or a third wire
+                    break
+                j += 1
+                if dense[codes[j - 1]]:
+                    count, end, used = count + 1, j, seen
+            if count >= 3 and (dense_only or end - i > count):
+                low, high = (used & -used).bit_length() - 1, used.bit_length() - 1
+                steps.append((codes[i:end], (low,) if low == high else (low, high)))
+                passes, mapped, i = passes + 1, False, end
+                continue
+        steps.append(k)
+        if dense[k] or not mapped:
+            passes += 1
+        mapped = not dense[k]
+        i += 1
+    return steps, passes
+
+
+def _run(c: Circuit, block: np.ndarray, steps: list | None = None) -> np.ndarray:
+    """Apply the circuit's gates (or the steps of _plan) to a (2^w, batch) amplitude block.
+
+    Each distinct gate's matrix is built once, on first use (_gate_matrix). A
+    gate applied alone is prepared on its first code (_prepare): a dense
+    gate's kernel, a monomial gate's map of all 2^w basis indices. Monomial
+    gates then extend one pending map j -> (dest[j], phase[j]) by two gathers
+    each; the block is gathered through the map once per run of them, before
+    the next dense gate or fused run and at the end. A fused run's matrix is
+    built once per distinct run of codes.
+    """
+    if steps is None:
+        steps = _plan(c.table, c.codes, block.size)[0]
+    w, table = c.n_wires, c.table
+    mats = [None] * len(table)
+    prepared = [None] * len(table)
+    fused: dict[tuple[int, ...], np.ndarray] = {}
+
+    def matrix(k: int) -> np.ndarray:
+        if mats[k] is None:
+            mats[k] = _gate_matrix(table[k])
+        return mats[k]
+
     psi = block
     dest = phase = None
-    for k in c.codes if codes is None else codes:
-        prep = prepared[k]
+    for step in steps:
+        if isinstance(step, tuple):
+            if dest is not None:
+                psi, dest = _gather(psi, dest, phase), None
+            run, wires = step
+            mat = fused.get(run)
+            if mat is None:
+                mat = fused[run] = _fused([table[k] for k in run], [matrix(k) for k in run], wires)
+            psi = _dense(psi, wires, mat)
+            continue
+        prep = prepared[step]
         if prep is None:
-            prep = prepared[k] = _prepare(c.table[k], w)
+            prep = prepared[step] = _prepare(table[step], matrix(step), w)
         if callable(prep):
             if dest is not None:
                 psi, dest = _gather(psi, dest, phase), None
@@ -406,13 +530,10 @@ def _run(c: Circuit, block: np.ndarray, codes: tuple[int, ...] | None = None) ->
 
 
 def _applications(gates: Iterable[Gate]) -> int:
-    """Passes _run makes over the block: one per dense gate, one per run of monomial gates."""
-    n, after_monomial = 0, False
-    for g in gates:
-        monomial = g.kind in _MONOMIAL
-        n += not (monomial and after_monomial)
-        after_monomial = monomial
-    return n
+    """Passes _run makes for these gates over a small block (see _plan)."""
+    table = _Table()
+    codes = tuple(table.code(g) for g in gates)
+    return _plan(table.gates, codes, 0)[1]
 
 
 def _period(codes: tuple[int, ...]) -> int:
@@ -425,15 +546,15 @@ def _period(codes: tuple[int, ...]) -> int:
     return 0
 
 
-# About how many applications (see _applications) on the identity one 2^w x 2^w
-# matmul costs, by w, priced as one-wire dense gates: a run of monomial gates
-# costs less, a dense gate on two wires more (one BLAS thread, 2-core x86
-# host); beyond the table it doubles per wire.
+# About how many passes (see _plan) on the identity one 2^w x 2^w matmul
+# costs, by w, priced as one-wire dense gates: a run of monomial gates costs
+# less, a dense gate on two wires or a fused run more (one BLAS thread, 2-core
+# x86 host); beyond the table it doubles per wire.
 _MATMUL_IN_GATES = (0.5,) * 6 + (2.6, 4.8, 9.0, 20.0, 40.0, 40.0)
 
 
 def _power_pays(p: int, reps: int, w: int) -> bool:
-    """Whether p applications plus at most 2 bit_length(reps) matmuls beat reps * p."""
+    """Whether p passes plus at most 2 bit_length(reps) matmuls beat reps * p."""
     last = len(_MATMUL_IN_GATES) - 1
     ratio = _MATMUL_IN_GATES[min(w, last)] * 2.0 ** max(0, w - last)
     return (reps - 1) * p > 2 * reps.bit_length() * ratio
@@ -451,12 +572,12 @@ def unitary(c: Circuit) -> np.ndarray:
     codes, table = c.codes, c.table
     p = _period(codes)
     block, reps = codes[:p], len(codes) // p if p else 1
-    apps = _applications(map(table.__getitem__, block))
+    steps, apps = _plan(table, block, dim * dim)
     if reps > 1 and table[block[0]].kind in _MONOMIAL and table[block[-1]].kind in _MONOMIAL:
         apps -= 1  # the monomial runs at the block's two ends merge between repetitions
-    if not _power_pays(apps, reps, c.n_wires):
-        block, reps = codes, 1
-    return np.linalg.matrix_power(_run(c, np.eye(dim, dtype=complex), block), reps)
+    if reps > 1 and not _power_pays(apps, reps, c.n_wires):
+        steps, reps = _plan(table, codes, dim * dim)[0], 1
+    return np.linalg.matrix_power(_run(c, np.eye(dim, dtype=complex), steps), reps)
 
 
 def apply(c: Circuit, state):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -278,6 +279,8 @@ _VERIFY_KINDS = {
 def _verify_deviation(args) -> tuple[str, float, list[str]]:
     """Label, max deviation and the diagnostic lines printed after it."""
     if args.kind == "encode":
+        if args.random < 0:
+            raise ValueError("verify --random needs a nonnegative graph count")
         if args.random:
             rng = np.random.default_rng(args.seed)
             dev = 0.0
@@ -311,6 +314,8 @@ def _verify_deviation(args) -> tuple[str, float, list[str]]:
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 <= args.tol < math.inf:  # NaN fails too
+        raise ValueError("verify --tol must be finite and nonnegative")
     label, dev, diagnostics = _verify_deviation(args)
     print(f"kind = {label}")
     print(f"max deviation = {_fmt(dev)}")

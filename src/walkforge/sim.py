@@ -36,7 +36,7 @@ class StateVector:
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amplitudes must form a nonempty vector")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # NaN and inf fail too
             raise ValueError(f"state norm {norm} is not 1 within {_NORM_TOL}")
         object.__setattr__(self, "amps", amps)
 
@@ -59,14 +59,21 @@ def basis_state(dim: int, index: int) -> StateVector:
 
 
 def exact_propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) by exact eigendecomposition; the oracle all tests compare to."""
+    """exp(-i h t) by exact eigendecomposition; the oracle all tests compare to.
+
+    h must be a finite Hermitian matrix and t a finite time."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     cap = 1 << max_qubits()
     if h.shape[0] > cap:
         raise ValueError(f"matrix dimension {h.shape[0]} above the dense cap {cap}")
-    if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
+    if not abs(t) < math.inf:  # NaN fails too
+        raise ValueError(f"evolution time {t} is not finite")
+    scale = np.max(np.abs(h))
+    if not scale < math.inf:
+        raise ValueError("matrix entries must be finite")
+    if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, scale):
         raise ValueError("matrix is not hermitian")
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T

@@ -286,43 +286,57 @@ def synth_line_walk_step(
     return Circuit(n_qubits, n_anc, tuple(gates))
 
 
-def _placed(template: Circuit, g: Gate) -> list[Gate]:
-    """A decomposition on wires 1..k, moved onto the wires of g."""
+def _placed(template: tuple[Gate, ...], qubits: tuple[int, ...]) -> list[Gate]:
+    """A decomposition on wires 1..k, moved onto k distinct wires without
+    checking its gates again."""
     return [
-        Gate(t.kind, tuple(g.qubits[q - 1] for q in t.qubits), t.params, t.polarities)
-        for t in template.gates
+        Gate._unchecked(t.kind, tuple(qubits[q - 1] for q in t.qubits), t.params, t.polarities)
+        for t in template
     ]
 
 
 _H_ALPHA, _H_THETA, _H_GAMMA, _H_XI = euler_decompose(gate_conventions()["H"])
+
+# Decompositions without a parameter, on wires 1..k, each built once.
+_CNOT_GATES = decompose_cnot().gates
+_SWAP_GATES = decompose_swap().gates
+_TOFFOLI_GATES = decompose_toffoli().gates
+_H_GATES = (
+    Gate("RZ", (1,), (_H_XI,)),
+    Gate("RX", (1,), (_H_GAMMA,)),
+    Gate("RZ", (1,), (_H_THETA,)),
+    Gate("GPHASE", (), (_H_ALPHA,)),
+)
+_X_GATES = (Gate("RX", (1,), (_PI,)), Gate("GPHASE", (), (_PI / 2,)))
 
 # kind -> rule(gate, n_wires) giving the gates that replace it. Multi-controls
 # expand onto fresh ancillas beyond the circuit's n_wires, shared by all of them.
 _LOWERING = {
     "MCX": lambda g, w: expand_multicontrol(g, w).gates,
     "MCRX": lambda g, w: expand_multicontrol(g, w).gates,
-    "TOFFOLI": lambda g, w: _placed(decompose_toffoli(), g),
-    "CRX": lambda g, w: _placed(decompose_controlled_rx(g.params[0] / 2.0), g),
-    "SWAP": lambda g, w: _placed(decompose_swap(), g),
-    "CRK": lambda g, w: _placed(decompose_controlled_rk(int(g.params[0])), g),
-    "CPHASE": lambda g, w: _placed(decompose_cphase(g.params[0]), g),
-    "CNOT": lambda g, w: _placed(decompose_cnot(), g),
-    "H": lambda g, w: [
-        Gate("RZ", g.qubits, (_H_XI,)),
-        Gate("RX", g.qubits, (_H_GAMMA,)),
-        Gate("RZ", g.qubits, (_H_THETA,)),
-        Gate("GPHASE", (), (_H_ALPHA,)),
-    ],
+    "TOFFOLI": lambda g, w: _placed(_TOFFOLI_GATES, g.qubits),
+    "SWAP": lambda g, w: _placed(_SWAP_GATES, g.qubits),
+    "CNOT": lambda g, w: _placed(_CNOT_GATES, g.qubits),
+    "H": lambda g, w: _placed(_H_GATES, g.qubits),
     "RY": lambda g, w: [
-        Gate("RZ", g.qubits, (-_PI / 2,)),
-        Gate("RX", g.qubits, g.params),
-        Gate("RZ", g.qubits, (_PI / 2,)),
+        Gate._unchecked("RZ", g.qubits, (-_PI / 2,)),
+        Gate._unchecked("RX", g.qubits, g.params),
+        Gate._unchecked("RZ", g.qubits, (_PI / 2,)),
     ],
-    "X": lambda g, w: [Gate("RX", g.qubits, (_PI,)), Gate("GPHASE", (), (_PI / 2,))],
+    "X": lambda g, w: _placed(_X_GATES, g.qubits),
     "APHASE": lambda g, w: [
-        Gate("RZ", g.qubits, g.params),
-        Gate("GPHASE", (), (-g.params[0] / 2.0,)),
+        Gate._unchecked("RZ", g.qubits, g.params),
+        Gate._unchecked("GPHASE", (), (-g.params[0] / 2.0,)),
     ],
+}
+
+# kind -> its decomposition on wires 1, 2 for a parameter. _lower builds each
+# once per call and distinct parameter (not across calls: the angles are
+# unbounded) and moves it onto the wires of every gate that needs it.
+_TEMPLATES = {
+    "CRX": lambda theta: decompose_controlled_rx(theta / 2.0),
+    "CRK": lambda k: decompose_controlled_rk(int(k)),
+    "CPHASE": lambda phi: decompose_cphase(phi),
 }
 
 _BASIC = frozenset({"RX", "RY", "RZ", "H", "X", "APHASE", "CNOT", "XX", "GPHASE"})
@@ -339,6 +353,18 @@ def _lower(c: Circuit, target: frozenset[str]) -> Circuit:
     base = c.n_wires
     out, seen = _Table(), _Table()  # the gates emitted; every gate met on the way
     lowered: dict[int, tuple[int, ...]] = {}  # code in seen -> codes in out
+    # a template's kind and parameter, as a gate on wires 1, 2 in a table, so
+    # that -0.0 and 0.0 key apart; the template of code i is templates[i]
+    frames, templates = _Table(), []
+
+    def rewrite(g: Gate):
+        build = _TEMPLATES.get(g.kind)
+        if build is None:
+            return _LOWERING[g.kind](g, base)
+        i = frames.code(Gate._unchecked(g.kind, (1, 2), g.params))
+        if i == len(templates):
+            templates.append(build(*g.params).gates)
+        return _placed(templates[i], g.qubits)
 
     def lower(g: Gate) -> tuple[int, ...]:
         i = seen.code(g)
@@ -346,7 +372,7 @@ def _lower(c: Circuit, target: frozenset[str]) -> Circuit:
             if g.kind in target:
                 lowered[i] = (out.code(g),)
             else:
-                lowered[i] = tuple(k for sub in _LOWERING[g.kind](g, base) for k in lower(sub))
+                lowered[i] = tuple(k for sub in rewrite(g) for k in lower(sub))
         return lowered[i]
 
     per_entry = [lower(g) for g in c.table]

@@ -20,15 +20,27 @@ from walkforge import (
     build_cycle,
     build_hypercube,
     build_line,
+    build_qft_circuit,
     circuit_from_text,
     circuit_to_text,
     encode_binary,
     expand_multicontrol,
     gate_conventions,
+    to_fundamental,
     trotterize,
     unitary,
 )
-from walkforge.circuit import _MONOMIAL, _Table, _applications, _gate_matrix, _period, _power_pays, _run
+from walkforge.circuit import (
+    _MONOMIAL,
+    _Table,
+    _applications,
+    _dense,
+    _gate_matrix,
+    _period,
+    _plan,
+    _power_pays,
+    _run,
+)
 
 rng = np.random.default_rng(271828)
 
@@ -460,6 +472,108 @@ def test_unitary_and_apply_match_an_index_loop_oracle(c):
     assert np.max(np.abs(u - want)) <= 1e-13
     psi = rng.normal(size=1 << c.n_wires) + 1j * rng.normal(size=1 << c.n_wires)
     assert np.max(np.abs(apply(c, psi) - u @ psi)) <= 1e-13
+
+
+def _fused_runs(c: Circuit) -> int:
+    """Fused runs in apply's plan, on a state vector."""
+    return sum(isinstance(step, tuple) for step in _plan(c.table, c.codes, 1 << c.n_wires)[0])
+
+
+def _lowered_circuits():
+    """to_fundamental of two-wire gates on both wire orders and of a Toffoli, on
+    random wires of 3-5, the lowered QFT on 3-5 qubits, and a run of named dense
+    gates with CRX on both orders of its pair."""
+    gen = np.random.default_rng(57721)
+    for kind in ("CNOT", "SWAP", "CRK", "CPHASE", "CRX", "TOFFOLI"):
+        w = int(gen.integers(3, 6))
+        g, h = _random_gate(kind, w, gen), _random_gate(kind, w, gen)
+        if kind != "TOFFOLI":
+            h = Gate(kind, g.qubits[::-1], h.params)  # the same pair in the other order
+        yield pytest.param(to_fundamental(Circuit(w, 0, (g, h))), id=f"{kind}-w{w}")
+    for n in (3, 4, 5):
+        yield pytest.param(build_qft_circuit(n, "fundamental"), id=f"qft{n}")
+    crx = [Gate("CRX", w, (t,)) for w, t in (((4, 2), 0.9), ((2, 4), -1.3))]
+    named = (Gate("RX", (4,), (0.4,)), crx[0], Gate("RZ", (2,), (0.8,)), crx[1], Gate("H", (4,)), Gate("XX", (4, 2), (0.6,)))
+    yield pytest.param(Circuit(4, 0, named), id="crx-both-orders")
+
+
+@pytest.mark.parametrize("c", _lowered_circuits())
+def test_fused_runs_match_the_index_loop_oracle(c):
+    """Lowered gates fuse into two-wire runs, and unitary and apply still match the
+    product of the gates' matrices placed by explicit index loops."""
+    assert _fused_runs(c) > 0
+    want = np.eye(1 << c.n_wires, dtype=complex)
+    for g in c.gates:
+        want = _oracle_gate(g, c.n_wires) @ want
+    u = unitary(c)
+    assert np.max(np.abs(u - want)) <= 1e-12
+    psi = rng.normal(size=1 << c.n_wires) + 1j * rng.normal(size=1 << c.n_wires)
+    psi /= np.linalg.norm(psi)
+    assert np.max(np.abs(apply(c, psi) - want @ psi)) <= 1e-12
+
+
+@pytest.mark.parametrize("wires", [(2, 4), (5, 1)])
+def test_a_lowered_cnot_is_one_two_wire_pass(wires, monkeypatch):
+    """The lowered CNOT holds four dense gates on its two wires; apply makes one
+    4 x 4 pass over the state for them, on the wires in increasing order."""
+    c = to_fundamental(Circuit(5, 0, (Gate("CNOT", wires),)))
+    assert sum(g.kind not in _MONOMIAL for g in c.gates) == 4
+    calls = []
+    monkeypatch.setattr(
+        "walkforge.circuit._dense", lambda psi, qubits, mat: calls.append((qubits, mat.shape)) or _dense(psi, qubits, mat)
+    )
+    psi = rng.normal(size=32) + 1j * rng.normal(size=32)
+    got = apply(c, psi)
+    assert calls == [(tuple(sorted(wires)), (4, 4))]
+    want = apply(Circuit(5, 0, (Gate("CNOT", wires),)), psi)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(psi))
+
+
+def test_a_run_of_two_dense_gates_runs_gate_by_gate():
+    """A two-wire run with only two dense gates is not fused: unitary and apply
+    equal, bit for bit, the gates applied one at a time."""
+    gates = (Gate("RX", (1,), (0.3,)), Gate("X", (3,)), Gate("XX", (3, 1), (0.7,)), Gate("CNOT", (1, 3)))
+    c = Circuit(3, 0, gates)
+    assert _fused_runs(c) == 0
+    want = np.eye(8, dtype=complex)
+    for g in gates:
+        want = _run(Circuit(3, 0, (g,)), want)
+    assert np.array_equal(unitary(c), want)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    col = psi.reshape(8, 1)
+    for g in gates:
+        col = _run(Circuit(3, 0, (g,)), col)
+    assert np.array_equal(apply(c, psi), col.reshape(8))
+
+
+def test_plan_fuses_up_to_the_last_dense_gate_within_two_wires():
+    """A run starts at a dense gate, takes GPHASE anywhere, stops before a third
+    wire or a Toffoli, and leaves the monomial gates after its last dense gate
+    to the index maps; a run of fewer than three dense gates is not fused."""
+    rx = [Gate("RX", (q,), (0.1 * q,)) for q in (1, 2, 3)]
+    rz, ph = Gate("RZ", (2,), (0.5,)), Gate("GPHASE", (), (0.2,))
+    xx, cnot, tof = Gate("XX", (2, 1), (0.3,)), Gate("CNOT", (1, 2)), Gate("TOFFOLI", (1, 2, 3))
+    c = Circuit(3, 0, (rz, rx[0], ph, xx, cnot, rx[1], rz, cnot, rx[2], rx[0], rx[1], tof, rx[0], rx[0]))
+    steps, passes = _plan(c.table, c.codes, 8)
+    runs = [(tuple(c.table[k] for k in run), wires) for run, wires in (s for s in steps if isinstance(s, tuple))]
+    assert runs == [((rx[0], ph, xx, cnot, rx[1]), (1, 2))]
+    assert len(steps) == 1 + 1 + 2 + 3 + 1 + 2
+    # rz; the run; rz and cnot as one map; rx3, rx1, rx2 alone; tof; rx1 twice
+    assert passes == 1 + 1 + 1 + 3 + 1 + 2 == _applications(c.gates)
+
+
+def test_dense_gates_alone_fuse_on_large_blocks_only():
+    """Three dense gates and no monomial one are fused from 4096 amplitudes on,
+    where a pass costs more than composing a gate, and match either way."""
+    gates = (Gate("RX", (2,), (0.3,)), Gate("RX", (5,), (0.4,)), Gate("XX", (5, 2), (0.5,)))
+    small = Circuit(5, 0, gates)
+    assert _plan(small.table, small.codes, 1 << 10) == (list(small.codes), 3)
+    assert _plan(small.table, small.codes, 1 << 12) == ([(small.codes, (2, 5))], 1)
+    for c in (small, Circuit(6, 0, gates)):  # a 32 x 32 and a 64 x 64 unitary
+        want = np.eye(1 << c.n_wires, dtype=complex)
+        for g in gates:
+            want = _oracle_gate(g, c.n_wires) @ want
+        assert np.max(np.abs(unitary(c) - want)) <= 1e-13
 
 
 def test_monomial_kinds_are_derived_from_the_gate_table():

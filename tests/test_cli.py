@@ -175,6 +175,22 @@ def test_synth_trotter_verify_exact(tmp_path, capsys):
     assert code == 1 and "FAIL" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_tolerance_must_be_finite_and_nonnegative(tol, capsys):
+    """A NaN tolerance failed every check, inf passed any circuit and a negative one
+    failed all: each is bad input, exit 2, before any circuit is built."""
+    code, out, err = _run(["verify", "--kind", "cnot", "--tol", tol], capsys)
+    assert code == 2 and out == ""
+    assert "--tol must be finite and nonnegative" in err
+
+
+def test_verify_random_count_must_be_nonnegative(capsys):
+    """--random -2 checked zero graphs and printed PASS; now it is exit 2."""
+    code, out, err = _run(["verify", "--kind", "encode", "--random", "-2"], capsys)
+    assert code == 2 and out == ""
+    assert "nonnegative graph count" in err
+
+
 def test_verify_builtin_cnot(capsys):
     """The freshly built CNOT decomposition passes at the default tolerance."""
     code, out, _ = _run(["verify", "--kind", "cnot"], capsys)
@@ -280,6 +296,15 @@ def test_simulate_walk_amplitudes(tmp_path, capsys):
     amps = json.loads(out)["amps"]
     np.testing.assert_allclose(amps[0], [math.cos(1.0), 0.0], atol=1e-12)
     np.testing.assert_allclose(amps[1], [0.0, math.sin(1.0)], atol=1e-12)
+
+
+def test_simulate_refuses_a_non_finite_time(tmp_path, capsys):
+    """--t nan wrote NaN amplitudes, which are not JSON, with exit 0; now it is exit 2."""
+    gpath = _write_graph(tmp_path, ["--kind", "line", "--n", "2"])
+    for t in ("nan", "inf"):
+        code, out, err = _run(["simulate", "--graph", str(gpath), "--t", t], capsys)
+        assert code == 2 and out == ""
+        assert "not finite" in err
 
 
 def test_simulate_circuit_file(tmp_path, capsys):

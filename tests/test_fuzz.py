@@ -33,6 +33,7 @@ from walkforge import (
     pulses_to_csv,
     replay_pulses,
     gate_conventions,
+    to_fundamental,
     unitary,
 )
 from walkforge.circuit import _GATES
@@ -148,12 +149,12 @@ def test_pauli_qubit_index_is_ascii_digits_in_range(letter, index):
 
 
 @st.composite
-def _circuits(draw) -> Circuit:
+def _circuits(draw, kinds=tuple(sorted(_GATES))) -> Circuit:
     n, a = draw(st.integers(1, 3)), draw(st.integers(0, 2))
     w = n + a
     gates = []
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(sorted(_GATES)))
+        kind = draw(st.sampled_from(kinds))
         n_wires, n_params, _ = _GATES[kind]
         k = draw(st.integers(2, max(2, w))) if n_wires is None else n_wires
         if k > w:
@@ -232,6 +233,18 @@ def _kron_reference(c: Circuit) -> np.ndarray:
 def test_unitary_and_apply_match_a_kron_product(c, reps):
     """Random gate lists, repeated so that unitary may square a block."""
     c = Circuit(c.n_qubits, c.n_ancillas, c.gates * reps)
+    want = _kron_reference(c)
+    assert np.max(np.abs(unitary(c) - want), initial=0.0) <= 1e-12
+    psi = np.arange(1, (1 << c.n_wires) + 1) * (1 - 0.5j)
+    assert np.max(np.abs(apply(c, psi) - want @ psi)) <= 1e-12 * np.max(np.abs(psi))
+
+
+@_SETTINGS
+@given(_circuits(kinds=tuple(k for k in sorted(_GATES) if _GATES[k][0] is not None)))
+def test_lowered_circuits_match_a_kron_product(c):
+    """to_fundamental output, whose rotations fuse into two-wire runs, evaluates
+    to the kron-product reference of its own gates."""
+    c = to_fundamental(c)
     want = _kron_reference(c)
     assert np.max(np.abs(unitary(c) - want), initial=0.0) <= 1e-12
     psi = np.arange(1, (1 << c.n_wires) + 1) * (1 - 0.5j)

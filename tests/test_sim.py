@@ -33,6 +33,15 @@ def test_state_vector_rejects_empty():
         StateVector(np.array([]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_vector_rejects_non_finite_amplitudes(bad):
+    """A NaN norm passed the old |norm - 1| > tol test; NaN and inf amplitudes now fail."""
+    with pytest.raises(ValueError, match="norm"):
+        StateVector(np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="norm"):
+        StateVector(np.array([1.0, bad * 1j]))
+
+
 def test_basis_state_layout():
     """basis_state puts the single amplitude at the requested index."""
     s = basis_state(4, 2)

@@ -45,7 +45,7 @@ from walkforge import (
     uniform_strengths,
     walk_matrix,
 )
-from walkforge.synth import _LOWERING, _ordered_terms
+from walkforge.synth import _LOWERING, _TEMPLATES, _ordered_terms
 
 rng = np.random.default_rng(1729)
 
@@ -98,6 +98,22 @@ def test_exact_propagator_rejects_non_hermitian():
     """The generator must be Hermitian."""
     with pytest.raises(ValueError, match="not hermitian"):
         exact_propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_exact_propagator_rejects_a_non_finite_time(t):
+    """exp(-i h t) at a non-finite t was a NaN matrix; now it is refused."""
+    with pytest.raises(ValueError, match="not finite"):
+        exact_propagator(np.eye(2), t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_exact_propagator_rejects_non_finite_entries(bad):
+    """The Hermitian test was false for NaN, so a NaN generator passed; NaN and inf
+    entries, on or off the diagonal, are now refused."""
+    for h in (np.diag([bad, 1.0]), np.array([[0.0, bad], [bad, 0.0]])):
+        with pytest.raises(ValueError, match="must be finite"):
+            exact_propagator(h, 1.0)
 
 
 def test_trotter_plan_validation():
@@ -658,6 +674,8 @@ def _repeating_circuits():
     yield pytest.param(build_qft_circuit(5), id="qft5")
     zeros = tuple(Gate(k, (1,), (z,)) for k in ("RY", "APHASE") for z in (0.0, -0.0))
     yield pytest.param(Circuit(2, 0, zeros * 3), id="signed-zeros")
+    pairs = tuple(Gate(k, w, (z,)) for k in ("CPHASE", "CRX") for z in (0.0, -0.0) for w in ((1, 2), (2, 1)))
+    yield pytest.param(Circuit(2, 0, pairs * 2), id="signed-zero-templates")
 
 
 def _one_gate(c: Circuit, g: Gate) -> Circuit:
@@ -729,3 +747,27 @@ def test_each_distinct_cnot_is_lowered_once(monkeypatch):
     assert len(calls) == len(distinct) and set(calls) == distinct
     to_fundamental(c)
     assert len(calls) == 2 * len(distinct)  # nothing is kept between calls
+
+
+def test_a_signed_zero_gets_its_own_template():
+    """CPHASE(0) and CPHASE(-0) are equal gates, but their templates differ in the
+    sign of the XX and GPHASE angles; the second is not served the first's."""
+    c = Circuit(2, 0, (Gate("CPHASE", (1, 2), (0.0,)), Gate("CPHASE", (2, 1), (-0.0,))))
+    lines = circuit_to_text(to_fundamental(c)).splitlines()
+    assert "XX q1 q2 0" in lines and "GPHASE 0" in lines
+    assert "XX q2 q1 -0" in lines and "GPHASE -0" in lines
+
+
+def test_each_template_is_built_once_per_parameter(monkeypatch):
+    """The QFT's CRK gates share one template per order k, placed on every pair of
+    wires, and nothing is kept between calls."""
+    c = build_qft_circuit(5)
+    orders = {g.params for g in c.gates if g.kind == "CRK"}
+    assert len([g for g in c.gates if g.kind == "CRK"]) > len(orders)
+    calls = []
+    build = _TEMPLATES["CRK"]
+    monkeypatch.setitem(_TEMPLATES, "CRK", lambda k: calls.append(k) or build(k))
+    to_fundamental(c)
+    assert sorted(calls) == sorted(k for (k,) in orders)
+    to_fundamental(c)
+    assert len(calls) == 2 * len(orders)
