@@ -20,9 +20,9 @@ GEMM over a transposed view, or is a multi-control, which acts by its 2 x 2
 target block on the indices whose controls match, never as its
 2^(m+1)-square matrix. A run of gates that starts and ends at a dense gate,
 stays within two wires and holds at least three dense gates and a monomial
-one (a lowered CNOT or SWAP, say; on large blocks, dense gates alone) is
-fused: its 2 x 2 or 4 x 4 product is built once and applied in one pass over
-the block instead of one pass per gate.
+one (a lowered CNOT or SWAP, say) is fused: its 2 x 2 or 4 x 4 product is
+built once and applied in one pass over the block instead of one pass per
+gate.
 
 A circuit holds each distinct gate once, in a table in first-use order, and
 one integer code per occurrence. Synthesized circuits repeat a few gates many
@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
@@ -417,18 +418,8 @@ def _fused(gates: list[Gate], mats: list[np.ndarray], wires: tuple[int, ...]) ->
     return u
 
 
-# Amplitudes in a block from which one pass over it costs more than composing
-# a gate into a fused run's matrix (one small matmul): from there a run of
-# dense gates alone pays for fusing too (see _plan). Measured for RX, RX, XX
-# on two wires, one BLAS thread: at 256 and 1,024 amplitudes fused is 0-15 %
-# slower than gate by gate, at 4,096 (a 64 x 64 unitary or a 12-wire state)
-# 30-35 % faster.
-_FUSE_DENSE_ONLY_AMPS = 1 << 12
-
-
-def _plan(table, codes, amps: int) -> tuple[list, int]:
-    """How _run evaluates codes over table on a block of amps amplitudes:
-    (steps, passes over the block).
+def _plan(table, codes) -> tuple[list, int]:
+    """How _run evaluates codes over table: (steps, passes over the block).
 
     A step is a code, whose gate is applied alone, or a fused run: (its codes,
     its wires in increasing order), applied as one matrix. A run starts at a
@@ -437,36 +428,57 @@ def _plan(table, codes, amps: int) -> tuple[list, int]:
     ends it). It is cut back to its last dense gate, so the monomial gates
     around it stay in the index maps. It is fused when it holds at least three
     dense gates (one 4 x 4 pass costs about two to three one-wire passes) and
-    either a monomial gate, whose index map and gather fusing saves, or the
-    block has at least _FUSE_DENSE_ONLY_AMPS amplitudes. Otherwise its first
-    gate is applied alone and the scan goes on from the next. passes counts
-    one per dense gate or fused run and one per run of monomial gates between
-    them. Only integer operations run per code.
+    a monomial gate, whose index map and gather fusing saves. Otherwise its
+    first gate is applied alone and the plan goes on from the next. passes
+    counts one per dense gate or fused run and one per run of monomial gates
+    between them.
+
+    The longest run from i is a window [i, j) whose end j never moves back, so
+    planning is linear in the codes. The window's at most two wires are held
+    with the last position of each; a wire last seen before i has left it.
     """
     dense = [g.kind not in _MONOMIAL for g in table]
-    # each gate's wires as a bit mask, wire q at bit q; -1 for a gate that ends runs
-    wires = [-1 if g.kind in _WIDE else sum(1 << q for q in g.qubits) for g in table]
-    dense_only = amps >= _FUSE_DENSE_ONLY_AMPS
+    qubits = [None if g.kind in _WIDE else g.qubits for g in table]  # None ends runs
+    before = [0, *accumulate(map(dense.__getitem__, codes))]  # dense codes before each position
     steps: list = []
     passes, mapped = 0, False
-    i, n = 0, len(codes)
+    a = b = la = lb = -1  # the window's wires and their last positions
+    last = i = j = 0  # last: the window's last dense code
+    n = len(codes)
     while i < n:
         k = codes[i]
-        if dense[k] and wires[k] > 0:
-            seen = used = wires[k]
-            count, end, j = 1, i + 1, i + 1
+        if dense[k] and qubits[k]:
+            if j < i:
+                j = i
             while j < n:
-                m = wires[codes[j]]
-                seen |= m
-                rest = seen & (seen - 1)
-                if m < 0 or rest & (rest - 1):  # a wide gate, or a third wire
+                kj = codes[j]
+                wires = qubits[kj]
+                if wires is None:
                     break
-                j += 1
-                if dense[codes[j - 1]]:
-                    count, end, used = count + 1, j, seen
-            if count >= 3 and (dense_only or end - i > count):
-                low, high = (used & -used).bit_length() - 1, used.bit_length() - 1
-                steps.append((codes[i:end], (low,) if low == high else (low, high)))
+                # On a third wire the gate's first wire may already hold position
+                # j; that is harmless, since the gate at j is the next one tried.
+                for q in wires:
+                    if q == a:
+                        la = j
+                    elif q == b:
+                        lb = j
+                    elif la < i:
+                        a, la = q, j
+                    elif lb < i:
+                        b, lb = q, j
+                    else:  # a third wire
+                        break
+                else:
+                    if dense[kj]:
+                        last = j
+                    j += 1
+                    continue
+                break
+            end = last + 1
+            held = before[end] - before[i]
+            if held >= 3 and end - i > held:
+                run = codes[i:end]
+                steps.append((run, tuple(sorted({q for m in run for q in qubits[m]}))))
                 passes, mapped, i = passes + 1, False, end
                 continue
         steps.append(k)
@@ -489,7 +501,7 @@ def _run(c: Circuit, block: np.ndarray, steps: list | None = None) -> np.ndarray
     built once per distinct run of codes.
     """
     if steps is None:
-        steps = _plan(c.table, c.codes, block.size)[0]
+        steps = _plan(c.table, c.codes)[0]
     w, table = c.n_wires, c.table
     mats = [None] * len(table)
     prepared = [None] * len(table)
@@ -530,10 +542,10 @@ def _run(c: Circuit, block: np.ndarray, steps: list | None = None) -> np.ndarray
 
 
 def _applications(gates: Iterable[Gate]) -> int:
-    """Passes _run makes for these gates over a small block (see _plan)."""
+    """Passes _run makes for these gates (see _plan)."""
     table = _Table()
     codes = tuple(table.code(g) for g in gates)
-    return _plan(table.gates, codes, 0)[1]
+    return _plan(table.gates, codes)[1]
 
 
 def _period(codes: tuple[int, ...]) -> int:
@@ -572,11 +584,11 @@ def unitary(c: Circuit) -> np.ndarray:
     codes, table = c.codes, c.table
     p = _period(codes)
     block, reps = codes[:p], len(codes) // p if p else 1
-    steps, apps = _plan(table, block, dim * dim)
+    steps, apps = _plan(table, block)
     if reps > 1 and table[block[0]].kind in _MONOMIAL and table[block[-1]].kind in _MONOMIAL:
         apps -= 1  # the monomial runs at the block's two ends merge between repetitions
     if reps > 1 and not _power_pays(apps, reps, c.n_wires):
-        steps, reps = _plan(table, codes, dim * dim)[0], 1
+        steps, reps = _plan(table, codes)[0], 1
     return np.linalg.matrix_power(_run(c, np.eye(dim, dtype=complex), steps), reps)
 
 

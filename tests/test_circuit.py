@@ -475,8 +475,8 @@ def test_unitary_and_apply_match_an_index_loop_oracle(c):
 
 
 def _fused_runs(c: Circuit) -> int:
-    """Fused runs in apply's plan, on a state vector."""
-    return sum(isinstance(step, tuple) for step in _plan(c.table, c.codes, 1 << c.n_wires)[0])
+    """Fused runs in the plan of the circuit's codes."""
+    return sum(isinstance(step, tuple) for step in _plan(c.table, c.codes)[0])
 
 
 def _lowered_circuits():
@@ -554,7 +554,7 @@ def test_plan_fuses_up_to_the_last_dense_gate_within_two_wires():
     rz, ph = Gate("RZ", (2,), (0.5,)), Gate("GPHASE", (), (0.2,))
     xx, cnot, tof = Gate("XX", (2, 1), (0.3,)), Gate("CNOT", (1, 2)), Gate("TOFFOLI", (1, 2, 3))
     c = Circuit(3, 0, (rz, rx[0], ph, xx, cnot, rx[1], rz, cnot, rx[2], rx[0], rx[1], tof, rx[0], rx[0]))
-    steps, passes = _plan(c.table, c.codes, 8)
+    steps, passes = _plan(c.table, c.codes)
     runs = [(tuple(c.table[k] for k in run), wires) for run, wires in (s for s in steps if isinstance(s, tuple))]
     assert runs == [((rx[0], ph, xx, cnot, rx[1]), (1, 2))]
     assert len(steps) == 1 + 1 + 2 + 3 + 1 + 2
@@ -562,18 +562,42 @@ def test_plan_fuses_up_to_the_last_dense_gate_within_two_wires():
     assert passes == 1 + 1 + 1 + 3 + 1 + 2 == _applications(c.gates)
 
 
-def test_dense_gates_alone_fuse_on_large_blocks_only():
-    """Three dense gates and no monomial one are fused from 4096 amplitudes on,
-    where a pass costs more than composing a gate, and match either way."""
+def test_dense_gates_alone_are_not_fused():
+    """Three dense gates and no monomial one run gate by gate on any block:
+    unitary equals, bit for bit, the gates applied one at a time."""
     gates = (Gate("RX", (2,), (0.3,)), Gate("RX", (5,), (0.4,)), Gate("XX", (5, 2), (0.5,)))
-    small = Circuit(5, 0, gates)
-    assert _plan(small.table, small.codes, 1 << 10) == (list(small.codes), 3)
-    assert _plan(small.table, small.codes, 1 << 12) == ([(small.codes, (2, 5))], 1)
-    for c in (small, Circuit(6, 0, gates)):  # a 32 x 32 and a 64 x 64 unitary
+    for c in (Circuit(5, 0, gates), Circuit(6, 0, gates)):  # a 32 x 32 and a 64 x 64 unitary
+        assert _plan(c.table, c.codes) == (list(c.codes), 3)
         want = np.eye(1 << c.n_wires, dtype=complex)
         for g in gates:
-            want = _oracle_gate(g, c.n_wires) @ want
-        assert np.max(np.abs(unitary(c) - want)) <= 1e-13
+            want = _run(Circuit(c.n_wires, 0, (g,)), want)
+        assert np.array_equal(unitary(c), want)
+
+
+class _CountedCodes(tuple):
+    """Codes that count how often they are indexed."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        type(self).reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("tail", [(), (Gate("RZ", (1,), (0.2,)), Gate("RX", (1,), (0.7,)))])
+def test_planning_is_linear_in_the_codes(tail):
+    """A long stretch of dense gates on two wires, whose runs are never fused,
+    is planned with a bounded number of reads per code (each start once, each
+    window end once), not one rescan of the stretch per start."""
+    dense = [Gate("RX", (1,), (0.1,)), Gate("RX", (2,), (0.2,)), Gate("XX", (1, 2), (0.3,))]
+    c = Circuit(2, 0, tuple(dense * 1000) + tail)
+    codes = _CountedCodes(c.codes)
+    _CountedCodes.reads = 0
+    steps, passes = _plan(c.table, codes)
+    assert _CountedCodes.reads <= 3 * len(codes)
+    assert _plan(c.table, c.codes) == (steps, passes)
+    # with a monomial gate at the end, the last run takes the whole stretch
+    assert passes == (1 if tail else len(codes))
 
 
 def test_monomial_kinds_are_derived_from_the_gate_table():
