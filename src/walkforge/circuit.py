@@ -29,7 +29,10 @@ one integer code per occurrence. Synthesized circuits repeat a few gates many
 times (a Trotter circuit is N copies of one step), so every per-gate job is
 done once per table entry and then mapped over the codes: validation, the
 evaluator's matrices and index maps, and the text format. The repeated block
-that unitary raises to a power is a period of the codes.
+that unitary raises to a power is a period of the codes; the power is taken
+when the block's dense gates, repeated, cost more than the squarings. A run of
+monomial gates is one gather and is priced at nothing, so a block of them
+alone is never squared.
 """
 from __future__ import annotations
 
@@ -418,8 +421,8 @@ def _fused(gates: list[Gate], mats: list[np.ndarray], wires: tuple[int, ...]) ->
     return u
 
 
-def _plan(table, codes) -> tuple[list, int]:
-    """How _run evaluates codes over table: (steps, passes over the block).
+def _plan(table, codes) -> list:
+    """The steps by which _run evaluates codes over table.
 
     A step is a code, whose gate is applied alone, or a fused run: (its codes,
     its wires in increasing order), applied as one matrix. A run starts at a
@@ -429,9 +432,7 @@ def _plan(table, codes) -> tuple[list, int]:
     around it stay in the index maps. It is fused when it holds at least three
     dense gates (one 4 x 4 pass costs about two to three one-wire passes) and
     a monomial gate, whose index map and gather fusing saves. Otherwise its
-    first gate is applied alone and the plan goes on from the next. passes
-    counts one per dense gate or fused run and one per run of monomial gates
-    between them.
+    first gate is applied alone and the plan goes on from the next.
 
     The longest run from i is a window [i, j) whose end j never moves back, so
     planning is linear in the codes. The window's at most two wires are held
@@ -441,7 +442,6 @@ def _plan(table, codes) -> tuple[list, int]:
     qubits = [None if g.kind in _WIDE else g.qubits for g in table]  # None ends runs
     before = [0, *accumulate(map(dense.__getitem__, codes))]  # dense codes before each position
     steps: list = []
-    passes, mapped = 0, False
     a = b = la = lb = -1  # the window's wires and their last positions
     last = i = j = 0  # last: the window's last dense code
     n = len(codes)
@@ -479,18 +479,16 @@ def _plan(table, codes) -> tuple[list, int]:
             if held >= 3 and end - i > held:
                 run = codes[i:end]
                 steps.append((run, tuple(sorted({q for m in run for q in qubits[m]}))))
-                passes, mapped, i = passes + 1, False, end
+                i = end
                 continue
         steps.append(k)
-        if dense[k] or not mapped:
-            passes += 1
-        mapped = not dense[k]
         i += 1
-    return steps, passes
+    return steps
 
 
-def _run(c: Circuit, block: np.ndarray, steps: list | None = None) -> np.ndarray:
-    """Apply the circuit's gates (or the steps of _plan) to a (2^w, batch) amplitude block.
+def _run(c: Circuit, block: np.ndarray, codes=None) -> np.ndarray:
+    """Apply the circuit's gates (or those of codes, default c.codes) to a
+    (2^w, batch) amplitude block, by the steps of _plan.
 
     Each distinct gate's matrix is built once, on first use (_gate_matrix). A
     gate applied alone is prepared on its first code (_prepare): a dense
@@ -500,9 +498,8 @@ def _run(c: Circuit, block: np.ndarray, steps: list | None = None) -> np.ndarray
     the next dense gate or fused run and at the end. A fused run's matrix is
     built once per distinct run of codes.
     """
-    if steps is None:
-        steps = _plan(c.table, c.codes)[0]
     w, table = c.n_wires, c.table
+    steps = _plan(table, c.codes if codes is None else codes)
     mats = [None] * len(table)
     prepared = [None] * len(table)
     fused: dict[tuple[int, ...], np.ndarray] = {}
@@ -541,13 +538,6 @@ def _run(c: Circuit, block: np.ndarray, steps: list | None = None) -> np.ndarray
     return psi if dest is None else _gather(psi, dest, phase)
 
 
-def _applications(gates: Iterable[Gate]) -> int:
-    """Passes _run makes for these gates (see _plan)."""
-    table = _Table()
-    codes = tuple(table.code(g) for g in gates)
-    return _plan(table.gates, codes)[1]
-
-
 def _period(codes: tuple[int, ...]) -> int:
     """The shortest p with codes == codes[:p] * (len(codes) // p); 0 for no codes."""
     n = len(codes)
@@ -558,15 +548,16 @@ def _period(codes: tuple[int, ...]) -> int:
     return 0
 
 
-# About how many passes (see _plan) on the identity one 2^w x 2^w matmul
-# costs, by w, priced as one-wire dense gates: a run of monomial gates costs
-# less, a dense gate on two wires or a fused run more (one BLAS thread, 2-core
-# x86 host); beyond the table it doubles per wire.
+# About how many dense (non-monomial) gates, applied to the identity, one
+# 2^w x 2^w matmul costs, by w, priced as one-wire gates alone: a dense gate
+# on two wires or a multi-control costs more, a run of monomial gates is one
+# gather and is priced at nothing (one BLAS thread, 2-core x86 host); beyond
+# the table it doubles per wire.
 _MATMUL_IN_GATES = (0.5,) * 6 + (2.6, 4.8, 9.0, 20.0, 40.0, 40.0)
 
 
 def _power_pays(p: int, reps: int, w: int) -> bool:
-    """Whether p passes plus at most 2 bit_length(reps) matmuls beat reps * p."""
+    """Whether p dense gates plus at most 2 bit_length(reps) matmuls beat reps * p."""
     last = len(_MATMUL_IN_GATES) - 1
     ratio = _MATMUL_IN_GATES[min(w, last)] * 2.0 ** max(0, w - last)
     return (reps - 1) * p > 2 * reps.bit_length() * ratio
@@ -576,20 +567,19 @@ def unitary(c: Circuit) -> np.ndarray:
     """Exact 2^(n+a) x 2^(n+a) product of the gate matrices, in order.
 
     Codes made of one block repeated reps times are evaluated as the block's
-    unitary raised to the power reps, when the counts say the squarings cost
-    less than the gates.
+    unitary raised to the power reps, when the block's dense gates, reps
+    times over, cost more than the squarings (see _power_pays).
     """
     check_qubit_count(c.n_wires, "circuit unitary")
     dim = 1 << c.n_wires
     codes, table = c.codes, c.table
     p = _period(codes)
     block, reps = codes[:p], len(codes) // p if p else 1
-    steps, apps = _plan(table, block)
-    if reps > 1 and table[block[0]].kind in _MONOMIAL and table[block[-1]].kind in _MONOMIAL:
-        apps -= 1  # the monomial runs at the block's two ends merge between repetitions
-    if reps > 1 and not _power_pays(apps, reps, c.n_wires):
-        steps, reps = _plan(table, codes)[0], 1
-    return np.linalg.matrix_power(_run(c, np.eye(dim, dtype=complex), steps), reps)
+    if reps > 1:
+        dense = sum(table[k].kind not in _MONOMIAL for k in block)
+        if not _power_pays(dense, reps, c.n_wires):
+            block, reps = codes, 1
+    return np.linalg.matrix_power(_run(c, np.eye(dim, dtype=complex), block), reps)
 
 
 def apply(c: Circuit, state):

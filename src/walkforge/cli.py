@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._config import check_qubit_count
 from .circuit import (
     Gate,
     ancilla_ground_block,
@@ -304,13 +305,15 @@ def _verify_deviation(args) -> tuple[str, float, list[str]]:
         c = circuit_from_text(Path(args.circuit).read_text())
     else:
         c = _VERIFY_KINDS[args.kind][0](args)
-    got = ancilla_ground_block(unitary(c), c.n_ancillas)
-
+    # the circuit's cap, then the reference (which checks its own range), then
+    # the unitary: neither matrix is built when the other side would refuse
+    check_qubit_count(c.n_wires, "circuit unitary")
     if args.against == "exact":
         h = encode_single_excitation(g) if args.scheme == "single" else encode_binary(g)
-        want = exact_propagator(to_matrix(h), args.t)
-        return _unitary_report(f"circuit vs exact propagator t={_fmt(args.t)}", got, want)
-    return _unitary_report(args.kind, got, _VERIFY_KINDS[args.kind][1](args))
+        label, want = f"circuit vs exact propagator t={_fmt(args.t)}", exact_propagator(to_matrix(h), args.t)
+    else:
+        label, want = args.kind, _VERIFY_KINDS[args.kind][1](args)
+    return _unitary_report(label, ancilla_ground_block(unitary(c), c.n_ancillas), want)
 
 
 def _cmd_verify(args) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_qubit_count
-from .circuit import Circuit, Gate, _Table, gate_conventions
+from .circuit import _GATES, Circuit, Gate, _Table, gate_conventions
 from .encode import encode_binary
 from .gatelib import (
     FundamentalPulse,
@@ -259,8 +259,8 @@ def synth_line_walk_step(
 
     Each term is a single X on the flipping qubit dressed by one up projector
     and a tail of down projectors, so the step is a cascade of multiply
-    controlled RX rotations. With expand=True the cascade is rewritten via
-    the Toffoli ladder onto shared ancillas.
+    controlled RX rotations. With expand=True each of them is rewritten via
+    the Toffoli ladder onto shared ancillas, as _lower expands multi-controls.
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
@@ -268,22 +268,14 @@ def synth_line_walk_step(
         raise ValueError("cycle needs at least two qubits")
     angle = -2.0 * float(eps) * float(delta0)
     gates: list[Gate] = []
-    n_anc = 0
     for target, ctrls in _line_step_terms(n_qubits, cycle):
-        if not ctrls:
-            g = Gate("RX", (target,), (angle,))
-            gates.append(g)
-            continue
-        qubits = tuple(q for q, _ in ctrls) + (target,)
-        pols = tuple(p for _, p in ctrls)
-        g = Gate("MCRX", qubits, (angle,), pols)
-        if expand:
-            sub = expand_multicontrol(g, n_qubits)
-            gates.extend(sub.gates)
-            n_anc = max(n_anc, sub.n_ancillas)
+        if ctrls:
+            qubits = tuple(q for q, _ in ctrls) + (target,)
+            gates.append(Gate("MCRX", qubits, (angle,), tuple(p for _, p in ctrls)))
         else:
-            gates.append(g)
-    return Circuit(n_qubits, n_anc, tuple(gates))
+            gates.append(Gate("RX", (target,), (angle,)))
+    c = Circuit(n_qubits, 0, gates)
+    return _lower(c, _UNEXPANDED) if expand else c
 
 
 def _placed(template: tuple[Gate, ...], qubits: tuple[int, ...]) -> list[Gate]:
@@ -297,54 +289,42 @@ def _placed(template: tuple[Gate, ...], qubits: tuple[int, ...]) -> list[Gate]:
 
 _H_ALPHA, _H_THETA, _H_GAMMA, _H_XI = euler_decompose(gate_conventions()["H"])
 
-# Decompositions without a parameter, on wires 1..k, each built once.
-_CNOT_GATES = decompose_cnot().gates
-_SWAP_GATES = decompose_swap().gates
-_TOFFOLI_GATES = decompose_toffoli().gates
-_H_GATES = (
-    Gate("RZ", (1,), (_H_XI,)),
-    Gate("RX", (1,), (_H_GAMMA,)),
-    Gate("RZ", (1,), (_H_THETA,)),
-    Gate("GPHASE", (), (_H_ALPHA,)),
-)
-_X_GATES = (Gate("RX", (1,), (_PI,)), Gate("GPHASE", (), (_PI / 2,)))
-
-# kind -> rule(gate, n_wires) giving the gates that replace it. Multi-controls
-# expand onto fresh ancillas beyond the circuit's n_wires, shared by all of them.
-_LOWERING = {
-    "MCX": lambda g, w: expand_multicontrol(g, w).gates,
-    "MCRX": lambda g, w: expand_multicontrol(g, w).gates,
-    "TOFFOLI": lambda g, w: _placed(_TOFFOLI_GATES, g.qubits),
-    "SWAP": lambda g, w: _placed(_SWAP_GATES, g.qubits),
-    "CNOT": lambda g, w: _placed(_CNOT_GATES, g.qubits),
-    "H": lambda g, w: _placed(_H_GATES, g.qubits),
-    "RY": lambda g, w: [
-        Gate._unchecked("RZ", g.qubits, (-_PI / 2,)),
-        Gate._unchecked("RX", g.qubits, g.params),
-        Gate._unchecked("RZ", g.qubits, (_PI / 2,)),
-    ],
-    "X": lambda g, w: _placed(_X_GATES, g.qubits),
-    "APHASE": lambda g, w: [
-        Gate._unchecked("RZ", g.qubits, g.params),
-        Gate._unchecked("GPHASE", (), (-g.params[0] / 2.0,)),
-    ],
-}
-
-# kind -> its decomposition on wires 1, 2 for a parameter. _lower builds each
-# once per call and distinct parameter (not across calls: the angles are
-# unbounded) and moves it onto the wires of every gate that needs it.
+# kind -> the gates that replace it, on wires 1..k: a tuple built once here, or
+# a builder of the gate's parameters, which _lower calls once per call and
+# distinct parameter (not across calls: the angles are unbounded). Builders
+# look the decompositions up by name on each call; RY's and APHASE's skip the
+# gate checks, since their parameter is a checked gate's (a checked Gate costs
+# about five unchecked ones). MCX and MCRX are not here: they expand onto
+# fresh ancillas beyond the circuit's wires (see _lower).
 _TEMPLATES = {
-    "CRX": lambda theta: decompose_controlled_rx(theta / 2.0),
-    "CRK": lambda k: decompose_controlled_rk(int(k)),
-    "CPHASE": lambda phi: decompose_cphase(phi),
+    "TOFFOLI": decompose_toffoli().gates,
+    "SWAP": decompose_swap().gates,
+    "CNOT": decompose_cnot().gates,
+    "H": (
+        Gate("RZ", (1,), (_H_XI,)),
+        Gate("RX", (1,), (_H_GAMMA,)),
+        Gate("RZ", (1,), (_H_THETA,)),
+        Gate("GPHASE", (), (_H_ALPHA,)),
+    ),
+    "X": (Gate("RX", (1,), (_PI,)), Gate("GPHASE", (), (_PI / 2,))),
+    "RY": lambda theta: (
+        Gate._unchecked("RZ", (1,), (-_PI / 2,)),
+        Gate._unchecked("RX", (1,), (theta,)),
+        Gate._unchecked("RZ", (1,), (_PI / 2,)),
+    ),
+    "APHASE": lambda eps: (Gate._unchecked("RZ", (1,), (eps,)), Gate._unchecked("GPHASE", (), (-eps / 2.0,))),
+    "CRX": lambda theta: decompose_controlled_rx(theta / 2.0).gates,
+    "CRK": lambda k: decompose_controlled_rk(int(k)).gates,
+    "CPHASE": lambda phi: decompose_cphase(phi).gates,
 }
 
+_UNEXPANDED = frozenset(_GATES) - {"MCX", "MCRX"}  # what an expanded line step keeps
 _BASIC = frozenset({"RX", "RY", "RZ", "H", "X", "APHASE", "CNOT", "XX", "GPHASE"})
 _FUNDAMENTAL = frozenset({"RX", "RZ", "XX", "GPHASE"})
 
 
 def _lower(c: Circuit, target: frozenset[str]) -> Circuit:
-    """Apply the lowering rules until every gate kind is in target.
+    """Rewrite by _TEMPLATES and expand_multicontrol until every gate kind is in target.
 
     Each distinct gate, at every depth of the rewriting, is lowered once per
     call; an input code then stands for its gate's output codes. Wires the
@@ -353,18 +333,20 @@ def _lower(c: Circuit, target: frozenset[str]) -> Circuit:
     base = c.n_wires
     out, seen = _Table(), _Table()  # the gates emitted; every gate met on the way
     lowered: dict[int, tuple[int, ...]] = {}  # code in seen -> codes in out
-    # a template's kind and parameter, as a gate on wires 1, 2 in a table, so
-    # that -0.0 and 0.0 key apart; the template of code i is templates[i]
+    # a builder's kind and parameter, as a gate on wires 1, 2 in a table, so
+    # that -0.0 and 0.0 key apart; the gates built for code i are templates[i]
     frames, templates = _Table(), []
 
     def rewrite(g: Gate):
-        build = _TEMPLATES.get(g.kind)
-        if build is None:
-            return _LOWERING[g.kind](g, base)
-        i = frames.code(Gate._unchecked(g.kind, (1, 2), g.params))
-        if i == len(templates):
-            templates.append(build(*g.params).gates)
-        return _placed(templates[i], g.qubits)
+        if g.kind in ("MCX", "MCRX"):
+            return expand_multicontrol(g, base).gates
+        template = _TEMPLATES[g.kind]
+        if callable(template):
+            i = frames.code(Gate._unchecked(g.kind, (1, 2), g.params))
+            if i == len(templates):
+                templates.append(template(*g.params))
+            template = templates[i]
+        return _placed(template, g.qubits)
 
     def lower(g: Gate) -> tuple[int, ...]:
         i = seen.code(g)

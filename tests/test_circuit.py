@@ -33,7 +33,6 @@ from walkforge import (
 from walkforge.circuit import (
     _MONOMIAL,
     _Table,
-    _applications,
     _dense,
     _gate_matrix,
     _period,
@@ -336,7 +335,8 @@ def test_trotter_unitary_matches_gate_by_gate(c, steps):
     and entries between the ancilla-down and ancilla-up sectors stay exact zeros."""
     p = _period(c.codes)
     reps = len(c.codes) // p
-    assert reps % steps == 0 and _power_pays(p, reps, c.n_wires)
+    dense = sum(c.table[k].kind not in _MONOMIAL for k in c.codes[:p])
+    assert reps % steps == 0 and _power_pays(dense, reps, c.n_wires)
     u = unitary(c)
     want = _run(c, np.eye(1 << c.n_wires, dtype=complex))
     assert np.max(np.abs(u - want)) <= 1e-12
@@ -381,14 +381,18 @@ def test_power_rule_counts():
     assert _power_pays(935, 10, 7)  # one cycle(64) Trotter step, ten steps
     assert _power_pays(116, 2, 4)
     assert not _power_pays(2, 2, 2)
+    assert _power_pays(2, 4, 2)  # two dense gates on two wires, four times: the closest benchmark case
+    assert not any(_power_pays(0, reps, w) for reps in (2, 16, 10**6) for w in range(20))
 
 
 def test_a_run_of_monomial_gates_is_one_application(monkeypatch):
-    """The power rule prices a run of permutation and phase gates as one pass,
-    so an all-monomial repeated circuit is one gather, not a matrix power."""
+    """A run of permutation and phase gates is one step each and no fused run,
+    and the power rule prices it at nothing, so an all-monomial repeated
+    circuit is one gather, not a matrix power."""
     x, h, cnot, rz = Gate("X", (1,)), Gate("H", (1,)), Gate("CNOT", (1, 2)), Gate("RZ", (2,), (0.3,))
-    assert _applications((x, cnot, h, rz, h, cnot, rz)) == 5
-    assert _applications(()) == 0
+    c = Circuit(2, 0, (x, cnot, h, rz, h, cnot, rz))
+    assert _plan(c.table, c.codes) == list(c.codes)
+    assert _plan(c.table, ()) == []
     powers = []
     matrix_power = np.linalg.matrix_power
     monkeypatch.setattr(np.linalg, "matrix_power", lambda u, n: powers.append(n) or matrix_power(u, n))
@@ -476,7 +480,7 @@ def test_unitary_and_apply_match_an_index_loop_oracle(c):
 
 def _fused_runs(c: Circuit) -> int:
     """Fused runs in the plan of the circuit's codes."""
-    return sum(isinstance(step, tuple) for step in _plan(c.table, c.codes)[0])
+    return sum(isinstance(step, tuple) for step in _plan(c.table, c.codes))
 
 
 def _lowered_circuits():
@@ -554,12 +558,13 @@ def test_plan_fuses_up_to_the_last_dense_gate_within_two_wires():
     rz, ph = Gate("RZ", (2,), (0.5,)), Gate("GPHASE", (), (0.2,))
     xx, cnot, tof = Gate("XX", (2, 1), (0.3,)), Gate("CNOT", (1, 2)), Gate("TOFFOLI", (1, 2, 3))
     c = Circuit(3, 0, (rz, rx[0], ph, xx, cnot, rx[1], rz, cnot, rx[2], rx[0], rx[1], tof, rx[0], rx[0]))
-    steps, passes = _plan(c.table, c.codes)
+    steps = _plan(c.table, c.codes)
     runs = [(tuple(c.table[k] for k in run), wires) for run, wires in (s for s in steps if isinstance(s, tuple))]
     assert runs == [((rx[0], ph, xx, cnot, rx[1]), (1, 2))]
-    assert len(steps) == 1 + 1 + 2 + 3 + 1 + 2
-    # rz; the run; rz and cnot as one map; rx3, rx1, rx2 alone; tof; rx1 twice
-    assert passes == 1 + 1 + 1 + 3 + 1 + 2 == _applications(c.gates)
+    # rz; the run; rz and cnot, for the index maps; rx3, rx1, rx2 alone; tof; rx1 twice
+    assert isinstance(steps[1], tuple)
+    alone = [c.table[k] for k in steps[:1] + steps[2:]]
+    assert alone == [rz, rz, cnot, rx[2], rx[0], rx[1], tof, rx[0], rx[0]]
 
 
 def test_dense_gates_alone_are_not_fused():
@@ -567,7 +572,7 @@ def test_dense_gates_alone_are_not_fused():
     unitary equals, bit for bit, the gates applied one at a time."""
     gates = (Gate("RX", (2,), (0.3,)), Gate("RX", (5,), (0.4,)), Gate("XX", (5, 2), (0.5,)))
     for c in (Circuit(5, 0, gates), Circuit(6, 0, gates)):  # a 32 x 32 and a 64 x 64 unitary
-        assert _plan(c.table, c.codes) == (list(c.codes), 3)
+        assert _plan(c.table, c.codes) == list(c.codes)
         want = np.eye(1 << c.n_wires, dtype=complex)
         for g in gates:
             want = _run(Circuit(c.n_wires, 0, (g,)), want)
@@ -593,11 +598,11 @@ def test_planning_is_linear_in_the_codes(tail):
     c = Circuit(2, 0, tuple(dense * 1000) + tail)
     codes = _CountedCodes(c.codes)
     _CountedCodes.reads = 0
-    steps, passes = _plan(c.table, codes)
+    steps = _plan(c.table, codes)
     assert _CountedCodes.reads <= 3 * len(codes)
-    assert _plan(c.table, c.codes) == (steps, passes)
-    # with a monomial gate at the end, the last run takes the whole stretch
-    assert passes == (1 if tail else len(codes))
+    assert _plan(c.table, c.codes) == steps
+    # with a monomial gate at the end, one run takes the whole stretch
+    assert steps == ([(c.codes, (1, 2))] if tail else list(c.codes))
 
 
 def test_monomial_kinds_are_derived_from_the_gate_table():

@@ -282,6 +282,24 @@ def test_verify_checks_its_inputs_before_building_the_unitary(tmp_path, capsys, 
     assert code == 2 and err
 
 
+def test_verify_refuses_before_building_a_matrix_the_other_side_refuses(capsys, monkeypatch):
+    """The 13-qubit QFT fits the dense cap but not its reference, and an MCX
+    ladder of 8 or 13 controls does not fit the cap: each exits 2 before the
+    circuit's unitary or the MCX reference (4 GiB at 13 controls) is built."""
+
+    def refuse(what):
+        return lambda *args: pytest.fail(f"{what} built before the refusal")
+
+    monkeypatch.delenv("WALKFORGE_MAX_QUBITS", raising=False)
+    monkeypatch.setattr(walkforge.cli, "unitary", refuse("the circuit's unitary"))
+    monkeypatch.setattr(walkforge.cli, "_mcx_oracle", refuse("the mcx reference"))
+    code, _, err = _run(["verify", "--kind", "qft", "--n", "13"], capsys)
+    assert code == 2 and "1..12 qubits" in err
+    for controls in ("8", "13"):
+        code, _, err = _run(["verify", "--kind", "mcx", "--controls", controls], capsys)
+        assert code == 2 and "above the dense cap of 14" in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     """argparse usage failures propagate exit code 2."""
     assert main(["bogus"]) == 2

@@ -45,7 +45,8 @@ from walkforge import (
     uniform_strengths,
     walk_matrix,
 )
-from walkforge.synth import _LOWERING, _TEMPLATES, _ordered_terms
+from walkforge import synth
+from walkforge.synth import _TEMPLATES, _ordered_terms
 
 rng = np.random.default_rng(1729)
 
@@ -389,6 +390,29 @@ def test_line_walk_step_validation():
         synth_line_walk_step(0, 0.1)
     with pytest.raises(ValueError, match="cycle needs at least two"):
         synth_line_walk_step(1, 0.1, cycle=True)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (1, "dfcc0ab92183fd6bb016318417af8169259830af3eb495a622920ec15cd36adb"),
+        (2, "617a909e1799acfe72390996f3660b0ab02f32e1a7cbc304f4f8b4f0721c2e3e"),
+        (3, "6f0381368cf9528fec1747c447494cdbfa08b8c5470ff75418f08ed2718a8988"),
+        (4, "7e03b73e6df0a9d5a2ab0a8317dff5370472a56bd3f69f3029eba2fbf02ccb7f"),
+        (5, "6095a5c1cf6b5f797d3d30030967d6a9b11c3c19a2d6950ef5005382db441e78"),
+        (6, "912418c57b62f9a1c43c92330656952c754c57523933cb0554a70ad7be10b51e"),
+    ],
+)
+def test_expanded_line_step_text_is_pinned(n, digest):
+    """The expanded line and cycle steps, zero angles of both signs included,
+    match their recorded sha256 byte for byte."""
+    cycles = (False, True) if n >= 2 else (False,)
+    text = "".join(
+        circuit_to_text(synth_line_walk_step(n, eps, cycle=cycle, expand=True))
+        for cycle in cycles
+        for eps in (0.1, 0.0, -0.0)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_expand_to_basic_kinds_and_block():
@@ -741,8 +765,14 @@ def test_each_distinct_cnot_is_lowered_once(monkeypatch):
     distinct = set(cnots)
     assert len(cnots) > len(distinct) > 0
     calls = []
-    rule = _LOWERING["CNOT"]
-    monkeypatch.setitem(_LOWERING, "CNOT", lambda g, w: calls.append(g) or rule(g, w))
+    placed = synth._placed
+
+    def spy(template, qubits):
+        if template is _TEMPLATES["CNOT"]:
+            calls.append(Gate("CNOT", qubits))
+        return placed(template, qubits)
+
+    monkeypatch.setattr(synth, "_placed", spy)
     to_fundamental(c)
     assert len(calls) == len(distinct) and set(calls) == distinct
     to_fundamental(c)
@@ -756,6 +786,39 @@ def test_a_signed_zero_gets_its_own_template():
     lines = circuit_to_text(to_fundamental(c)).splitlines()
     assert "XX q1 q2 0" in lines and "GPHASE 0" in lines
     assert "XX q2 q1 -0" in lines and "GPHASE -0" in lines
+
+
+_LAYOUTS = {1: ((2,), (5,)), 2: ((4, 2), (1, 5)), 3: ((5, 1, 3), (2, 4, 1))}
+
+
+@pytest.mark.parametrize(
+    "kind, n_wires, params, digest",
+    [
+        ("TOFFOLI", 3, ((),), "d6e9d5ee839a2722ac7dbd23239f53fa8cc093d4372b74e8cab720b06e5938e4"),
+        ("SWAP", 2, ((),), "fa55091867b62e9af98ea6501a42fc86a0b595d0fa8ee0b2d3517b04c1cbdbe5"),
+        ("CNOT", 2, ((),), "0d7b85acd228f0b73f88fbf288dea086aeeac96d9bc2c292a60b21be4a326ea1"),
+        ("H", 1, ((),), "ccca6002001eb509d61128e33e9df6bb6da6c4e0301c14cbb25325e8c9bca870"),
+        ("X", 1, ((),), "f126560a98f1ba675df1ec4046395e64f6aaecb917ea191619f18e4dce4ad6ef"),
+        ("RY", 1, ((0.0,), (-0.0,), (0.9,)), "d35ea0f43b5ef58d4ccc88570ac01da1f5d0090340010606d87f1f96680db2e0"),
+        ("APHASE", 1, ((0.0,), (-0.0,), (0.9,)), "48a6abc218331c6188cc6553d7dba75112d0cb78d0f029060925e16e748fb30e"),
+        ("CRX", 2, ((0.0,), (-0.0,), (0.9,)), "7e0cd92766ac624501b23d02e9efd86656096933a4ad596d14b15ddc79899067"),
+        ("CRK", 2, ((1.0,), (3.0,)), "e5ca0bfee5ab04bc0f6dbd90338b1c6d5d7fce2b658d70711c2d123c65ee4f1a"),
+        ("CPHASE", 2, ((0.0,), (-0.0,), (0.9,)), "a19a7b794b8d1be74baf19dc08b5ae096fd3d4bb23674435a50c3e5c41ed56ce"),
+        ("MCX", None, ((),), "636c42c401001454cf86e03f696c2e804a1587c51d68f67154beed60b81633f9"),
+        ("MCRX", None, ((0.0,), (-0.0,), (0.9,)), "65a6bb607b8aa9fb6e131de3b94862d71016c9f06198b685334b38777dfebc0a"),
+    ],
+)
+def test_lowered_text_is_pinned(kind, n_wires, params, digest):
+    """Both lowerings of every kind with a rewrite, on reversed and non-adjacent
+    wires, with zero parameters of both signs in one circuit, match their
+    recorded sha256 byte for byte."""
+    if n_wires is None:
+        placed = [((5, 1, 3), (1, 0)), ((2, 4), (0,))]
+    else:
+        placed = [(w, ()) for w in _LAYOUTS[n_wires]]
+    c = Circuit(5, 0, [Gate(kind, w, p, pols) for p in params for w, pols in placed])
+    text = circuit_to_text(expand_to_basic(c)) + circuit_to_text(to_fundamental(c))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_each_template_is_built_once_per_parameter(monkeypatch):
