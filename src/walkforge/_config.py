@@ -24,3 +24,10 @@ def check_qubit_count(m: int, what: str) -> None:
     cap = max_qubits()
     if m > cap:
         raise ValueError(f"{what} needs {m} qubits, above the dense cap of {cap}")
+
+
+def check_matrix_dimension(n: int) -> None:
+    """Refuse an n x n dense matrix wider than 2^max_qubits()."""
+    cap = 1 << max_qubits()
+    if n > cap:
+        raise ValueError(f"matrix dimension {n} above the dense cap {cap}")

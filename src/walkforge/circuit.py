@@ -374,9 +374,11 @@ def _prepare(g: Gate, mat: np.ndarray, w: int):
     a monomial gate's map (dest, phase) (see _index_map), any other gate a
     function that applies it to a block.
 
-    A multi-control is its target block on the sub-register of the basis
-    indices whose controls match: those indices, in increasing order, run over
-    the other wires' bits with the target in its place among them.
+    A multi-control acts on the basis indices whose controls match. MCX, the
+    one monomial multi-control, flips the target bit of those indices; MCRX
+    is its target block on the sub-register they form: in increasing order,
+    they run over the other wires' bits with the target in its place among
+    them.
     """
     if _GATES[g.kind][0] is not None:
         if g.kind in _MONOMIAL:
@@ -388,21 +390,17 @@ def _prepare(g: Gate, mat: np.ndarray, w: int):
     want = sum(pol << (w - q) for q, pol in zip(controls, g.polarities))
     idx = np.arange(1 << w)
     on = idx[(idx & mask) == want]
-    local = (target - sum(q < target for q in controls),)
-    if g.kind not in _MONOMIAL:
-        def on_matching(psi):
-            out = psi.copy()
-            out[on] = _dense(psi[on], local, mat)
-            return out
-
-        return on_matching
-    sub, sub_phase = _index_map(local, mat, w - len(controls))
-    idx[on] = on[sub]
-    if sub_phase is None:
+    if g.kind == "MCX":
+        idx[on] ^= 1 << (w - target)
         return idx, None
-    phase = np.ones(1 << w, dtype=complex)
-    phase[on] = sub_phase
-    return idx, phase
+    local = (target - sum(q < target for q in controls),)
+
+    def on_matching(psi):
+        out = psi.copy()
+        out[on] = _dense(psi[on], local, mat)
+        return out
+
+    return on_matching
 
 
 def _fused(gates: list[Gate], mats: list[np.ndarray], wires: tuple[int, ...]) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Command-line front end: build graphs, encode/decode Hamiltonians, reduce
 chains, synthesize circuits, and verify everything against dense oracles.
 
-Exit codes: 0 success, 1 verification failure, 2 parse/usage errors. All
-numeric output uses 17 significant digits so emitted files round-trip
-bit-exactly through their parsers.
+Exit codes: 0 success, 1 verification failure, 2 parse/usage errors and out
+of memory. All numeric output uses 17 significant digits so emitted files
+round-trip bit-exactly through their parsers.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import numpy as np
 from ._config import check_qubit_count
 from .circuit import (
     Gate,
+    _format_num,
     ancilla_ground_block,
     apply as circuit_apply,
     circuit_from_text,
@@ -79,10 +80,6 @@ from .walkgraph import (
 )
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -160,12 +157,9 @@ def _cmd_chain(args) -> int:
     chain = XYChain(args.n, j, args.h)
     if args.sector is None:
         result = jordan_wigner_walk(chain)
-        g = result.graph
+        _emit(graph_to_json(result.graph), args.out)
         if args.out:
-            _emit(graph_to_json(g), args.out)
-            print(f"offset = {_fmt(result.offset)}")
-        else:
-            _emit(graph_to_json(g), None)
+            print(f"offset = {_format_num(result.offset)}")
         return 0
     g = excitation_graph(chain, args.sector)
     if not args.collapse:
@@ -179,10 +173,10 @@ def _cmd_chain(args) -> int:
     print(f"sector nodes = {g.n_nodes}")
     print("layer sizes = " + " ".join(str(len(layer)) for layer in layers))
     for k, (_, _, delta) in enumerate(line.edges, start=1):
-        print(f"coupling {k} = {_fmt(delta)}")
+        print(f"coupling {k} = {_format_num(delta)}")
     for k, eps in enumerate(line.onsite, start=1):
-        print(f"onsite {k} = {_fmt(eps)}")
-    print(f"collapse defect = {_fmt(defect)}")
+        print(f"onsite {k} = {_format_num(eps)}")
+    print(f"collapse defect = {_format_num(defect)}")
     if args.collapsed_out:
         _emit(graph_to_json(line), args.collapsed_out)
     return 0
@@ -244,7 +238,7 @@ def _unitary_report(label: str, got: np.ndarray, want: np.ndarray) -> tuple[str,
     dev, phase = _distance_and_phase(got, want)
     row, col = divmod(int(np.argmax(np.abs(got - np.exp(1j * phase) * want))), got.shape[0])
     bits = _index_labels(got.shape[0])
-    return label, dev, [f"phase = {_fmt(phase)}", f"worst entry = row {bits[row]} col {bits[col]}"]
+    return label, dev, [f"phase = {_format_num(phase)}", f"worst entry = row {bits[row]} col {bits[col]}"]
 
 
 def _mcx_gate(controls: int) -> Gate:
@@ -283,6 +277,8 @@ def _verify_deviation(args) -> tuple[str, float, list[str]]:
         if args.random < 0:
             raise ValueError("verify --random needs a nonnegative graph count")
         if args.random:
+            if args.max_nodes < 2:
+                raise ValueError("verify --max-nodes must be at least 2 with --random")
             rng = np.random.default_rng(args.seed)
             dev = 0.0
             for _ in range(args.random):
@@ -310,7 +306,8 @@ def _verify_deviation(args) -> tuple[str, float, list[str]]:
     check_qubit_count(c.n_wires, "circuit unitary")
     if args.against == "exact":
         h = encode_single_excitation(g) if args.scheme == "single" else encode_binary(g)
-        label, want = f"circuit vs exact propagator t={_fmt(args.t)}", exact_propagator(to_matrix(h), args.t)
+        label = f"circuit vs exact propagator t={_format_num(args.t)}"
+        want = exact_propagator(to_matrix(h), args.t)
     else:
         label, want = args.kind, _VERIFY_KINDS[args.kind][1](args)
     return _unitary_report(label, ancilla_ground_block(unitary(c), c.n_ancillas), want)
@@ -321,10 +318,10 @@ def _cmd_verify(args) -> int:
         raise ValueError("verify --tol must be finite and nonnegative")
     label, dev, diagnostics = _verify_deviation(args)
     print(f"kind = {label}")
-    print(f"max deviation = {_fmt(dev)}")
+    print(f"max deviation = {_format_num(dev)}")
     for line in diagnostics:
         print(line)
-    print(f"tolerance = {_fmt(args.tol)}")
+    print(f"tolerance = {_format_num(args.tol)}")
     if dev <= args.tol:
         print("PASS")
         return 0
@@ -449,11 +446,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

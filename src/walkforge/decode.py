@@ -170,12 +170,8 @@ def pulse_to_walk_edges(gate: Gate, n_qubits: int) -> PulseWalkEdges:
     if any(q > n_qubits for q in gate.qubits):
         raise ValueError("gate wires exceed the register")
     dim = 1 << n_qubits
-    if gate.kind == "RX":
-        mask = 1 << (n_qubits - gate.qubits[0])
-        edges = tuple((j, j ^ mask) for j in range(dim) if j < j ^ mask)
-        return PulseWalkEdges(n_qubits, edges, ())
-    if gate.kind == "XX":
-        mask = (1 << (n_qubits - gate.qubits[0])) | (1 << (n_qubits - gate.qubits[1]))
+    if gate.kind in ("RX", "XX"):
+        mask = sum(1 << (n_qubits - q) for q in gate.qubits)
         edges = tuple((j, j ^ mask) for j in range(dim) if j < j ^ mask)
         return PulseWalkEdges(n_qubits, edges, ())
     if gate.kind == "RZ":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliHamiltonian, PauliString, _from_masks, _symmetric_decomposition
+from .pauli import PauliHamiltonian, PauliString, _check_bits, _from_masks, _symmetric_decomposition
 from .walkgraph import WalkGraph, build_line
 
 __all__ = [
@@ -48,8 +48,6 @@ class EncodingSpec:
 def _check_labels(labels: tuple[str, ...], n_nodes: int) -> int:
     if len(labels) != n_nodes:
         raise ValueError("need exactly one label per node")
-    if not labels:
-        raise ValueError("label list is empty")
     m = len(labels[0])
     for s in labels:
         if len(s) != m or set(s) - {"0", "1"}:
@@ -129,8 +127,7 @@ def gray_labels(n_qubits: int) -> tuple[str, ...]:
 
 def line_position(x: str) -> int:
     """Position 1..2^N of a bit string on the relabeled line (prefix-XOR map)."""
-    if not x or set(x) - {"0", "1"}:
-        raise ValueError("input must be a nonempty bit string over 0/1")
+    _check_bits(x, "input")
     acc = 0
     pos = 0
     for c in x:

@@ -107,6 +107,11 @@ def euler_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha + ((flip_t + flip_x) % 2) * _PI, theta, gamma, xi
 
 
+def _both(kind: str, angle: float) -> list[Gate]:
+    """The one-wire gate kind(angle) on wire 1, then on wire 2."""
+    return [Gate(kind, (1,), (angle,)), Gate(kind, (2,), (angle,))]
+
+
 def decompose_cnot() -> Circuit:
     """CNOT (control q1, target q2) from single-qubit pulses and one XX(pi/4)."""
     gates = (
@@ -133,23 +138,10 @@ def decompose_cphase(phi: float) -> Circuit:
     if not np.isfinite(phi):
         raise ValueError("angle must be finite")
     chi = phi / 4.0
-    final_z = -(_PI / 2.0 + phi / 2.0)
-    gates = [
-        Gate("RZ", (1,), (_PI / 2,)),
-        Gate("RZ", (2,), (_PI / 2,)),
-        Gate("RX", (1,), (_PI / 2,)),
-        Gate("RX", (2,), (_PI / 2,)),
-        Gate("RZ", (1,), (-_PI / 2,)),
-        Gate("RZ", (2,), (-_PI / 2,)),
-        Gate("XX", (1, 2), (chi,)),
-        Gate("RZ", (1,), (_PI / 2,)),
-        Gate("RZ", (2,), (_PI / 2,)),
-        Gate("RX", (1,), (-_PI / 2,)),
-        Gate("RX", (2,), (-_PI / 2,)),
-        Gate("RZ", (1,), (final_z,)),
-        Gate("RZ", (2,), (final_z,)),
-        Gate("GPHASE", (), (chi,)),
-    ]
+    gates = _both("RZ", _PI / 2) + _both("RX", _PI / 2) + _both("RZ", -_PI / 2)
+    gates.append(Gate("XX", (1, 2), (chi,)))
+    gates += _both("RZ", _PI / 2) + _both("RX", -_PI / 2) + _both("RZ", -(_PI / 2.0 + phi / 2.0))
+    gates.append(Gate("GPHASE", (), (chi,)))
     return Circuit(2, 0, tuple(gates))
 
 
@@ -163,18 +155,11 @@ def decompose_controlled_rk(k: int) -> Circuit:
 
 def decompose_swap() -> Circuit:
     """SWAP from three XX(pi/4) blocks with interleaved single-qubit pulses."""
-    def both(kind: str, angle: float) -> list[Gate]:
-        return [Gate(kind, (1,), (angle,)), Gate(kind, (2,), (angle,))]
-
-    gates: list[Gate] = []
-    gates += both("RZ", _PI / 2)
-    gates += both("RX", _PI / 2)
-    gates += both("RZ", -_PI / 2)
+    gates = _both("RZ", _PI / 2) + _both("RX", _PI / 2) + _both("RZ", -_PI / 2)
     gates.append(Gate("XX", (1, 2), (_PI / 4,)))
-    gates += both("RZ", _PI / 2)
-    gates += both("RX", -_PI / 2)
+    gates += _both("RZ", _PI / 2) + _both("RX", -_PI / 2)
     gates.append(Gate("XX", (1, 2), (_PI / 4,)))
-    gates += both("RZ", -_PI / 2)
+    gates += _both("RZ", -_PI / 2)
     gates.append(Gate("XX", (1, 2), (_PI / 4,)))
     gates.append(Gate("GPHASE", (), (-_PI / 4,)))
     return Circuit(2, 0, tuple(gates))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import max_qubits
+from ._config import check_matrix_dimension, max_qubits
 from .walkgraph import WalkGraph, walk_matrix
 
 __all__ = [
@@ -62,12 +62,11 @@ def exact_propagator(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) by exact eigendecomposition; the oracle all tests compare to.
 
     h must be a finite Hermitian matrix and t a finite time."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    shape = np.shape(h)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("matrix must be square")
-    cap = 1 << max_qubits()
-    if h.shape[0] > cap:
-        raise ValueError(f"matrix dimension {h.shape[0]} above the dense cap {cap}")
+    check_matrix_dimension(shape[0])
+    h = np.asarray(h, dtype=complex)
     if not abs(t) < math.inf:  # NaN fails too
         raise ValueError(f"evolution time {t} is not finite")
     scale = np.max(np.abs(h))

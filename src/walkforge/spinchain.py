@@ -125,9 +125,8 @@ def excitation_graph(c: XYChain, n_exc: int) -> WalkGraph:
             if s[bond] == "1" and s[bond + 1] == "0":
                 swapped = s[:bond] + "01" + s[bond + 2 :]
                 edges.append((k, index[swapped], c.j[bond]))
-    edges = tuple((min(a, b), max(a, b), w) for a, b, w in edges)
     onsite = (c.h / 2.0 * (2 * n_exc - n),) * len(labels)
-    return WalkGraph(len(labels), edges, onsite, labels)
+    return WalkGraph(len(labels), tuple(edges), onsite, labels)
 
 
 def distance_layers(g: WalkGraph, start: int) -> tuple[tuple[int, ...], ...]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_qubit_count
-from .circuit import _GATES, Circuit, Gate, _Table, gate_conventions
+from .circuit import _GATES, Circuit, Gate, _format_num, _Table, gate_conventions
 from .encode import encode_binary
 from .gatelib import (
     FundamentalPulse,
@@ -29,7 +29,7 @@ from .gatelib import (
     euler_decompose,
     expand_multicontrol,
 )
-from .pauli import PauliHamiltonian, PauliString
+from .pauli import PauliHamiltonian, PauliString, _check_bits
 from .sim import exact_propagator
 from .walkgraph import WalkGraph
 
@@ -175,9 +175,7 @@ def synth_onsite(label: str, eps: float) -> Circuit:
     A polarity-matched multi-control folds "am I at this node" into the
     ancilla, a single APHASE applies the phase, and the fold is undone.
     """
-    if not label or set(label) - {"0", "1"}:
-        raise ValueError("label must be a nonempty bit string over 0/1")
-    m = len(label)
+    m = len(_check_bits(label, "label"))
     anc = m + 1
     controls = tuple(range(1, m + 1))
     pols = tuple(int(c) for c in label)
@@ -333,19 +331,17 @@ def _lower(c: Circuit, target: frozenset[str]) -> Circuit:
     base = c.n_wires
     out, seen = _Table(), _Table()  # the gates emitted; every gate met on the way
     lowered: dict[int, tuple[int, ...]] = {}  # code in seen -> codes in out
-    # a builder's kind and parameter, as a gate on wires 1, 2 in a table, so
-    # that -0.0 and 0.0 key apart; the gates built for code i are templates[i]
-    frames, templates = _Table(), []
+    built: dict[tuple[str, str], tuple[Gate, ...]] = {}  # a builder's output by kind and repr(params)
 
     def rewrite(g: Gate):
         if g.kind in ("MCX", "MCRX"):
             return expand_multicontrol(g, base).gates
         template = _TEMPLATES[g.kind]
         if callable(template):
-            i = frames.code(Gate._unchecked(g.kind, (1, 2), g.params))
-            if i == len(templates):
-                templates.append(template(*g.params))
-            template = templates[i]
+            key = (g.kind, repr(g.params))  # the repr keeps -0.0 apart from 0.0
+            if key not in built:
+                built[key] = template(*g.params)
+            template = built[key]
         return _placed(template, g.qubits)
 
     def lower(g: Gate) -> tuple[int, ...]:
@@ -411,12 +407,6 @@ def uniform_strengths(n_wires: int, value: float = 1.0) -> PulseStrengths:
     return PulseStrengths(np.full(n_wires, v), np.full(n_wires, v), vperp)
 
 
-def _need(strength: float, what: str) -> float:
-    if strength <= 0.0:
-        raise ValueError(f"zero strength for needed term {what}")
-    return strength
-
-
 # 2 pi = _TWO_PI_HI + _TWO_PI_LO to 2.5e-24; the high part has 26 significant
 # bits, so k * _TWO_PI_HI is exact for |k| < 2^27 (Cody and Waite)
 _TWO_PI_HI = float.fromhex("0x1.921fb5p+2")
@@ -460,9 +450,10 @@ def circuit_to_pulses(c: Circuit, strengths: PulseStrengths) -> tuple[Fundamenta
         if angle == 0.0:
             return None
         term, sign, divisor = _PULSE_RULES[g.kind]
-        where = f"wire {g.qubits[0]}" if len(g.qubits) == 1 else "wires {},{}".format(*g.qubits)
-        strength = getattr(strengths, term)[tuple(q - 1 for q in g.qubits)]
-        strength = _need(float(strength), f"{term} on {where}")
+        strength = float(getattr(strengths, term)[tuple(q - 1 for q in g.qubits)])
+        if strength <= 0.0:
+            where = f"wire {g.qubits[0]}" if len(g.qubits) == 1 else "wires {},{}".format(*g.qubits)
+            raise ValueError(f"zero strength for needed term {term} on {where}")
         duration = _mod_two_pi(sign * angle) / (divisor * strength)
         return FundamentalPulse(term, g.qubits, strength, duration)
 
@@ -504,7 +495,7 @@ def pulses_to_csv(pulses: tuple[FundamentalPulse, ...]) -> str:
     pulses = tuple(pulses)  # keeps every pulse alive, so no id is reused below
     rows = {id(p): p for p in pulses}
     for key, p in rows.items():
-        rows[key] = f"{p.term},{' '.join(map(str, p.qubits))},{p.strength:.17g},{p.duration:.17g}\n"
+        rows[key] = f"{p.term},{' '.join(map(str, p.qubits))},{_format_num(p.strength)},{_format_num(p.duration)}\n"
     return "term,qubits,strength,duration\n" + "".join(rows[id(p)] for p in pulses)
 
 

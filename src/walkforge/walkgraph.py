@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import check_matrix_dimension
+
 __all__ = [
     "WalkGraph",
     "Hyperlattice",
@@ -84,6 +86,7 @@ class Hyperlattice:
 
 def walk_matrix(g: WalkGraph) -> np.ndarray:
     """Dense walk Hamiltonian: H[i, j] = -delta_ij off-diagonal, onsite on the diagonal."""
+    check_matrix_dimension(g.n_nodes)
     h = np.zeros((g.n_nodes, g.n_nodes))
     for i, j, delta in g.edges:
         h[i, j] = -delta
@@ -93,23 +96,13 @@ def walk_matrix(g: WalkGraph) -> np.ndarray:
     return h
 
 
-def _per_edge(deltas, n_edges: int) -> list[float]:
-    if np.isscalar(deltas):
-        return [float(deltas)] * n_edges
-    out = [float(d) for d in deltas]
-    if len(out) != n_edges:
-        raise ValueError(f"expected {n_edges} edge amplitudes, got {len(out)}")
-    return out
-
-
-def _per_node(eps, n_nodes: int) -> list[float]:
-    if eps is None:
-        return [0.0] * n_nodes
-    if np.isscalar(eps):
-        return [float(eps)] * n_nodes
-    out = [float(e) for e in eps]
-    if len(out) != n_nodes:
-        raise ValueError(f"expected {n_nodes} onsite energies, got {len(out)}")
+def _per_item(value, count: int, what: str) -> list[float]:
+    """A scalar repeated count times, or a sequence of exactly count numbers."""
+    if np.isscalar(value):
+        return [float(value)] * count
+    out = [float(v) for v in value]
+    if len(out) != count:
+        raise ValueError(f"expected {count} {what}, got {len(out)}")
     return out
 
 
@@ -117,18 +110,18 @@ def build_line(n: int, deltas=1.0, eps=None) -> WalkGraph:
     """Path graph on n nodes with per-edge amplitudes and per-node energies."""
     if n < 1:
         raise ValueError("line needs at least one node")
-    ds = _per_edge(deltas, n - 1)
+    ds = _per_item(deltas, n - 1, "edge amplitudes")
     edges = tuple((k, k + 1, ds[k]) for k in range(n - 1))
-    return WalkGraph(n, edges, tuple(_per_node(eps, n)))
+    return WalkGraph(n, edges, tuple(_per_item(0.0 if eps is None else eps, n, "onsite energies")))
 
 
 def build_cycle(n: int, deltas=1.0, eps=None) -> WalkGraph:
     """Cycle graph on n >= 3 nodes; edge k joins nodes k and (k+1) mod n."""
     if n < 3:
         raise ValueError("cycle needs at least three nodes")
-    ds = _per_edge(deltas, n)
+    ds = _per_item(deltas, n, "edge amplitudes")
     edges = tuple((k, (k + 1) % n, ds[k]) for k in range(n))
-    return WalkGraph(n, edges, tuple(_per_node(eps, n)))
+    return WalkGraph(n, edges, tuple(_per_item(0.0 if eps is None else eps, n, "onsite energies")))
 
 
 def build_hypercube(m: int, delta0: float = 1.0) -> WalkGraph:
@@ -166,26 +159,20 @@ def band_energy(h: Hyperlattice, p) -> float:
 def build_hyperlattice_graph(h: Hyperlattice) -> WalkGraph:
     """Nearest-neighbor grid on L^d nodes; axis 0 is the most significant index digit.
 
-    Periodic boundaries add the wrap-around bond per axis; the degenerate
-    L = 2 wrap duplicates an existing bond and is dropped (one edge per pair).
+    Periodic boundaries add the wrap-around bond per axis when L > 2: at
+    L = 2 it would repeat the forward bond and at L = 1 join a node to itself,
+    so those periodic lattices equal their open ones.
     """
     n = h.side**h.dimension
     strides = [h.side ** (h.dimension - 1 - ax) for ax in range(h.dimension)]
+    delta0 = float(h.delta0)
     edges = []
-    seen = set()
     for node in range(n):
-        for ax in range(h.dimension):
-            coord = (node // strides[ax]) % h.side
-            if coord + 1 < h.side:
-                nb = node + strides[ax]
-            elif h.boundary == "periodic" and h.side > 1:
-                nb = node - (h.side - 1) * strides[ax]
-            else:
-                continue
-            pair = (min(node, nb), max(node, nb))
-            if pair[0] != pair[1] and pair not in seen:
-                seen.add(pair)
-                edges.append((pair[0], pair[1], float(h.delta0)))
+        for stride in strides:
+            if (node // stride) % h.side + 1 < h.side:
+                edges.append((node, node + stride, delta0))
+            elif h.boundary == "periodic" and h.side > 2:
+                edges.append((node - (h.side - 1) * stride, node, delta0))
     return WalkGraph(n, tuple(edges), (0.0,) * n)
 
 

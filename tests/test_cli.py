@@ -191,6 +191,32 @@ def test_verify_random_count_must_be_nonnegative(capsys):
     assert "nonnegative graph count" in err
 
 
+def test_verify_random_graphs_need_two_nodes(capsys):
+    """--max-nodes 1 with --random printed numpy's "low >= high"; now the
+    refusal names the flag."""
+    code, out, err = _run(["verify", "--kind", "encode", "--random", "2", "--max-nodes", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "--max-nodes must be at least 2" in err
+
+
+def test_out_of_memory_exits_two(tmp_path, capsys):
+    """A step count whose repeated codes cannot be held raised MemoryError with
+    a traceback and exit 1; the size check refuses it before any allocation."""
+    gpath = _write_graph(tmp_path, ["--kind", "line", "--n", "3"])
+    code, out, err = _run(["synth", "trotter", "--graph", str(gpath), "--steps", str(2**62)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n"
+
+
+def test_chain_collapse_obeys_the_dense_cap(capsys, monkeypatch):
+    """The 10-node sector of 5 sites with 2 up spins exceeds a 2-qubit cap:
+    the collapse is refused with exit 2 instead of building its walk matrix."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", "2")
+    code, _, err = _run(["chain", "xy", "--n", "5", "--sector", "2", "--collapse"], capsys)
+    assert code == 2
+    assert "matrix dimension 10 above the dense cap 4" in err
+
+
 def test_verify_builtin_cnot(capsys):
     """The freshly built CNOT decomposition passes at the default tolerance."""
     code, out, _ = _run(["verify", "--kind", "cnot"], capsys)

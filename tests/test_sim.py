@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from walkforge import (
     WalkGraph,
     basis_state,
     build_line,
+    collapse_defect,
+    collapse_to_line,
     evolve_walk,
     exact_propagator,
     fidelity,
@@ -211,6 +214,32 @@ def test_dense_cap_applies_to_every_propagator(monkeypatch):
         exact_propagator(walk_matrix(g), 1.0)
     with pytest.raises(ValueError, match="above the dense cap 4"):
         evolve_walk(g, basis_state(8, 0), 1.0)
+
+
+def test_walk_matrices_above_the_cap_are_refused_before_allocation(monkeypatch):
+    """walk_matrix and its callers refuse a 200-node walk under a 4-qubit cap,
+    and exact_propagator refuses before its complex copy, each while less than
+    one 200 x 200 float array has been allocated."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", "4")
+    g = build_line(200)
+    h = np.zeros((200, 200))
+    psi = basis_state(200, 0)
+    calls = (
+        lambda: walk_matrix(g),
+        lambda: exact_propagator(h, 1.0),
+        lambda: evolve_walk(g, psi, 1.0),
+        lambda: collapse_defect(g, 0),
+        lambda: collapse_to_line(g, 0),
+    )
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="matrix dimension 200 above the dense cap 16"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h.nbytes
 
 
 def test_basis_state_refuses_above_the_largest_dense_matrix(monkeypatch):

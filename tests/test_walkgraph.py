@@ -1,21 +1,29 @@
 """Graph builders, dense walk matrices, band energies, and JSON round trips."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from walkforge import (
+    Gate,
     Hyperlattice,
     WalkGraph,
+    XYChain,
     band_energy,
     build_cycle,
     build_hypercube,
     build_hyperlattice_graph,
     build_line,
+    circuit_to_text,
+    decompose_cphase,
+    decompose_swap,
+    excitation_graph,
     graph_from_json,
     graph_to_json,
+    pulse_to_walk_edges,
     walk_matrix,
 )
 
@@ -184,6 +192,40 @@ def test_hyperlattice_periodic_ring():
     g = build_hyperlattice_graph(Hyperlattice(1, 4, boundary="periodic"))
     assert g.n_nodes == 4
     assert sorted(e[:2] for e in g.edges) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("side", [1, 2])
+def test_hyperlattice_periodic_without_a_wrap_is_open(d, side):
+    """At side 1 the wrap bond would be a self-loop and at side 2 a repeat of
+    the forward bond, so those periodic lattices equal their open ones."""
+    periodic = build_hyperlattice_graph(Hyperlattice(d, side, 0.7, "periodic"))
+    assert periodic == build_hyperlattice_graph(Hyperlattice(d, side, 0.7, "open"))
+
+
+def test_builder_outputs_are_pinned():
+    """Lattice, line and cycle JSON, excitation graphs, pulse edges and the
+    CPHASE and SWAP decomposition text match their recorded sha256 byte for byte."""
+    parts = []
+    for d in (1, 2, 3):
+        for side in (1, 2, 3, 4):
+            for boundary in ("open", "periodic"):
+                parts.append(graph_to_json(build_hyperlattice_graph(Hyperlattice(d, side, 0.7, boundary))))
+    for n in range(1, 7):
+        parts.append(graph_to_json(build_line(n)))
+        parts.append(graph_to_json(build_line(n, [0.5 * k for k in range(n - 1)], -0.2)))
+    for n in range(3, 7):
+        parts.append(graph_to_json(build_cycle(n, 0.8, [0.1 * k for k in range(n)])))
+    for n in range(2, 8):
+        chain = XYChain(n, tuple(0.3 + 0.1 * k for k in range(n - 1)), 0.4)
+        parts += [graph_to_json(excitation_graph(chain, k)) for k in range(1, n)]
+    for gate in (Gate("RX", (2,), (0.3,)), Gate("XX", (3, 1), (0.3,)), Gate("RZ", (1,), (0.3,))):
+        parts.append(repr(pulse_to_walk_edges(gate, 3)))
+    for phi in (0.0, -0.0, 0.37, -2.5):
+        parts.append(circuit_to_text(decompose_cphase(phi)))
+    parts.append(circuit_to_text(decompose_swap()))
+    digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+    assert digest == "64a5d5e536fc92d43cf13250010c157a915ecb90bad4a34b01c9be9afb35f9e0"
 
 
 def test_hyperlattice_open_grid_edge_count():
