@@ -26,6 +26,14 @@ def check_qubit_count(m: int, what: str) -> None:
         raise ValueError(f"{what} needs {m} qubits, above the dense cap of {cap}")
 
 
+def check_width(m: int, what: str) -> None:
+    """Bound a register that is never realized densely by twice the dense cap,
+    the widest state vector the cap allows."""
+    cap = max_qubits()
+    if m > 2 * cap:
+        raise ValueError(f"{what} on {m} qubits above twice the dense cap of {cap}")
+
+
 def check_matrix_dimension(n: int) -> None:
     """Refuse an n x n dense matrix wider than 2^max_qubits()."""
     cap = 1 << max_qubits()

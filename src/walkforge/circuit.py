@@ -588,7 +588,11 @@ def apply(c: Circuit, state):
         raise ValueError(f"state dimension {amps.shape} does not match {dim} amplitudes")
     out = _run(c, amps.reshape(dim, 1)).reshape(dim)
     if hasattr(state, "amps"):
-        return type(state)(out)
+        # rounding over a long circuit can move the norm past a state's 1e-12
+        # input check, so the result is made without running that check again
+        result = object.__new__(type(state))
+        object.__setattr__(result, "amps", out)
+        return result
     return out
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._config import check_qubit_count
+from ._config import check_qubit_count, check_width
 from .circuit import (
     Gate,
     _format_num,
@@ -48,9 +48,9 @@ from .pauli import hamiltonian_from_text, hamiltonian_to_text, to_matrix
 from .sim import _distance_and_phase, basis_state, evolve_walk, exact_propagator
 from .spinchain import (
     XYChain,
-    collapse_defect,
-    collapse_to_line,
-    distance_layers,
+    _defect,
+    _line,
+    _project,
     excitation_graph,
     jordan_wigner_walk,
 )
@@ -165,11 +165,10 @@ def _cmd_chain(args) -> int:
     if not args.collapse:
         _emit(graph_to_json(g), args.out)
         return 0
+    h, layers, p, m = _project(g, args.start)
+    line, defect = _line(m), _defect(h, p, m)
     if args.out:
         _emit(graph_to_json(g), args.out)
-    layers = distance_layers(g, args.start)
-    line = collapse_to_line(g, args.start)
-    defect = collapse_defect(g, args.start)
     print(f"sector nodes = {g.n_nodes}")
     print("layer sizes = " + " ".join(str(len(layer)) for layer in layers))
     for k, (_, _, delta) in enumerate(line.edges, start=1):
@@ -300,6 +299,9 @@ def _verify_deviation(args) -> tuple[str, float, list[str]]:
     if args.circuit:
         c = circuit_from_text(Path(args.circuit).read_text())
     else:
+        # a kind's circuit is at least as wide as its data register, so an
+        # oversized register is refused before anything is built
+        check_qubit_count({"qft": args.n, "mcx": args.controls + 1}.get(args.kind, 0), "circuit unitary")
         c = _VERIFY_KINDS[args.kind][0](args)
     # the circuit's cap, then the reference (which checks its own range), then
     # the unitary: neither matrix is built when the other side would refuse
@@ -338,6 +340,7 @@ def _cmd_simulate(args) -> int:
         out = evolve_walk(g, psi, args.t)
     else:
         c = circuit_from_text(Path(args.circuit).read_text())
+        check_width(c.n_wires, "circuit simulation")
         psi = basis_state(1 << c.n_wires, args.state)
         out = circuit_apply(c, psi)
     payload = {"amps": [[float(a.real), float(a.imag)] for a in out.amps]}

@@ -4,7 +4,8 @@ static_to_walk inverts a fixed coupling template (single-qubit Z/X terms,
 Z_iX_j cross terms, X_iX_j and Z_iZ_j pair terms) in closed form; the sign
 conventions are pinned by requiring walk_matrix(result) to equal the dense
 matrix of the input exactly. matrix_to_walk does the same job numerically
-for any Hamiltonian whose dense matrix is real symmetric.
+for any Hamiltonian whose dense matrix is real symmetric. pulse_to_walk_edges
+reads one pulse as the template with only its coupling on.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_qubit_count
-from .circuit import Gate
 from .encode import _index_labels
+from .gatelib import FundamentalPulse
 from .pauli import PauliHamiltonian, PauliString, _from_masks, to_matrix
 from .walkgraph import WalkGraph
 
@@ -23,7 +24,6 @@ __all__ = [
     "static_to_pauli",
     "static_to_walk",
     "matrix_to_walk",
-    "PulseWalkEdges",
     "pulse_to_walk_edges",
 ]
 
@@ -150,32 +150,15 @@ def matrix_to_walk(h: PauliHamiltonian) -> WalkGraph:
     return WalkGraph(dim, tuple(edges), tuple(real.diagonal().tolist()), _index_labels(dim))
 
 
-@dataclass(frozen=True)
-class PulseWalkEdges:
-    """Walk-picture reading of one fundamental pulse on the n-qubit hypercube:
-    edges it switches on, and basis states acquiring a relative phase."""
-
-    n_qubits: int
-    edges: tuple[tuple[int, int], ...]
-    phase_nodes: tuple[int, ...]
-
-
-def pulse_to_walk_edges(gate: Gate, n_qubits: int) -> PulseWalkEdges:
-    """Describe RX/XX/RZ pulses as hypercube edges or half-cube phase marks.
-
-    RX on qubit k connects every pair differing in bit k; XX on (j, k)
-    connects face diagonals differing in both bits; RZ marks the half of the
-    cube with bit k up and adds no edges.
-    """
-    if any(q > n_qubits for q in gate.qubits):
-        raise ValueError("gate wires exceed the register")
-    dim = 1 << n_qubits
-    if gate.kind in ("RX", "XX"):
-        mask = sum(1 << (n_qubits - q) for q in gate.qubits)
-        edges = tuple((j, j ^ mask) for j in range(dim) if j < j ^ mask)
-        return PulseWalkEdges(n_qubits, edges, ())
-    if gate.kind == "RZ":
-        mask = 1 << (n_qubits - gate.qubits[0])
-        nodes = tuple(j for j in range(dim) if j & mask)
-        return PulseWalkEdges(n_qubits, (), nodes)
-    raise ValueError(f"unsupported gate kind {gate.kind!r}")
+def pulse_to_walk_edges(pulse: FundamentalPulse, n_qubits: int) -> WalkGraph:
+    """The walk a pulse runs for pulse.duration: the static template with the
+    pulse's one coupling on, so a delta or vperp pulse hops with amplitude
+    strength. A pulse's eps term is +strength Z and the template's -eps Z, so
+    an eps pulse sets eps_k = -strength."""
+    if max(pulse.qubits) > n_qubits:
+        raise ValueError("pulse wires exceed the register")
+    n, k = n_qubits, tuple(q - 1 for q in pulse.qubits)
+    on = {"eps": np.zeros(n), "delta": np.zeros(n), "vperp": np.zeros((n, n))}
+    value = -pulse.strength if pulse.term == "eps" else pulse.strength
+    on[pulse.term][k] = on[pulse.term][k[::-1]] = value  # vperp is symmetric
+    return static_to_walk(StaticQubitHamiltonian(n, chi=np.zeros((n, n)), vpar=np.zeros((n, n)), **on))

@@ -50,8 +50,8 @@ def _check_labels(labels: tuple[str, ...], n_nodes: int) -> int:
         raise ValueError("need exactly one label per node")
     m = len(labels[0])
     for s in labels:
-        if len(s) != m or set(s) - {"0", "1"}:
-            raise ValueError("labels must be equal-length bit strings over 0/1")
+        if len(_check_bits(s, "label")) != m:
+            raise ValueError("labels must be equal-length bit strings")
     if len(set(labels)) != n_nodes:
         raise ValueError("duplicate labels")
     return m

@@ -23,7 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._config import check_qubit_count, max_qubits
+from ._config import check_qubit_count, check_width, max_qubits
 
 __all__ = [
     "PauliString",
@@ -288,14 +288,6 @@ def _check_bits(bits: str, name: str) -> str:
     return bits
 
 
-def _check_width(m: int, what: str) -> None:
-    """Bound a register that is never realized densely by twice the dense cap,
-    the widest state vector the cap allows."""
-    cap = max_qubits()
-    if m > 2 * cap:
-        raise ValueError(f"{what} on {m} qubits above twice the dense cap of {cap}")
-
-
 def _symmetric_decomposition(m: int, entries: list[tuple[int, int, float]]) -> PauliHamiltonian:
     """Pauli coefficients tr(P A) / 2^m of the real symmetric 2^m x 2^m matrix A
     with nonzero entries (row, col, value), each listed once, both triangles.
@@ -306,7 +298,7 @@ def _symmetric_decomposition(m: int, entries: list[tuple[int, int, float]]) -> P
     symmetry makes the odd-n_Y ones vanish. A 2^m row bounds m to twice the
     dense cap.
     """
-    _check_width(m, "pauli decomposition")
+    check_width(m, "pauli decomposition")
     if not entries:
         return PauliHamiltonian(m, ())
     dim = 1 << m
@@ -412,7 +404,7 @@ def hamiltonian_from_text(text: str) -> PauliHamiltonian:
     if header is None:
         raise ValueError("pauli text must start with a 'QUBITS m' header")
     m = int(header[1])
-    _check_width(m, "pauli text")
+    check_width(m, "pauli text")
     tokens = _Tokens(m)
     terms = []
     for ln in lines[1:]:

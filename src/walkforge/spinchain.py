@@ -156,12 +156,30 @@ def distance_layers(g: WalkGraph, start: int) -> tuple[tuple[int, ...], ...]:
     return tuple(layers)
 
 
-def _column_basis(g: WalkGraph, start: int) -> np.ndarray:
+def _project(g: WalkGraph, start: int) -> tuple:
+    """The walk matrix h, the distance layers from start, the basis p of their
+    normalized uniform superpositions (one column each), and m = p.T h p."""
+    h = walk_matrix(g)
     layers = distance_layers(g, start)
     p = np.zeros((g.n_nodes, len(layers)))
     for k, layer in enumerate(layers):
         p[list(layer), k] = 1.0 / np.sqrt(len(layer))
-    return p
+    return h, layers, p, p.T @ h @ p
+
+
+def _defect(h: np.ndarray, p: np.ndarray, m: np.ndarray) -> float:
+    return float(np.max(np.abs(h @ p - p @ m)))
+
+
+def _line(m: np.ndarray) -> WalkGraph:
+    n_cols = m.shape[0]
+    edges = tuple(
+        (k, k + 1, float(-m[k, k + 1]))
+        for k in range(n_cols - 1)
+        if abs(m[k, k + 1]) > 0.0
+    )
+    onsite = tuple(float(m[k, k]) for k in range(n_cols))
+    return WalkGraph(n_cols, edges, onsite)
 
 
 def collapse_defect(g: WalkGraph, start: int) -> float:
@@ -170,9 +188,8 @@ def collapse_defect(g: WalkGraph, start: int) -> float:
     Zero means evolving inside the column subspace is exact; the value is the
     largest amplitude the walk generator pushes out of that subspace.
     """
-    h = walk_matrix(g)
-    p = _column_basis(g, start)
-    return float(np.max(np.abs(h @ p - p @ (p.T @ h @ p))))
+    h, _, p, m = _project(g, start)
+    return _defect(h, p, m)
 
 
 def collapse_to_line(g: WalkGraph, start: int, strict: bool = False) -> WalkGraph:
@@ -183,16 +200,7 @@ def collapse_to_line(g: WalkGraph, start: int, strict: bool = False) -> WalkGrap
     exactly only when the decomposition is closed (collapse_defect ~ 0).
     With strict=True a non-closed decomposition raises instead.
     """
-    h = walk_matrix(g)
-    p = _column_basis(g, start)
-    if strict and collapse_defect(g, start) > _CLOSURE_TOL:
+    h, _, p, m = _project(g, start)
+    if strict and _defect(h, p, m) > _CLOSURE_TOL:
         raise ValueError("graph is not column-collapsible from this start node")
-    m = p.T @ h @ p
-    n_cols = m.shape[0]
-    edges = tuple(
-        (k, k + 1, float(-m[k, k + 1]))
-        for k in range(n_cols - 1)
-        if abs(m[k, k + 1]) > 0.0
-    )
-    onsite = tuple(float(m[k, k]) for k in range(n_cols))
-    return WalkGraph(n_cols, edges, onsite)
+    return _line(m)

@@ -210,6 +210,18 @@ def test_apply_accepts_plain_arrays():
     np.testing.assert_allclose(out.amps, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
 
 
+def test_apply_returns_a_state_after_a_long_circuit():
+    """The 53,030 gates of ten Trotter steps on cycle(256) round the norm by
+    more than StateVector's 1e-12 input check; apply still returns the state,
+    with the amplitudes it gives a plain array."""
+    c = trotterize(encode_binary(build_cycle(256)), 1.0, TrotterPlan(10))
+    psi = basis_state(1 << c.n_wires, 0)
+    out = apply(c, psi)
+    assert len(c.codes) == 53030
+    assert isinstance(out, StateVector)
+    assert np.array_equal(out.amps, apply(c, psi.amps))
+
+
 def test_ancilla_ground_block_selects_stride():
     """The block keeps rows and columns whose ancillas all sit at down."""
     u = np.arange(16, dtype=float).reshape(4, 4)

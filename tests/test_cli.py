@@ -217,6 +217,38 @@ def test_chain_collapse_obeys_the_dense_cap(capsys, monkeypatch):
     assert "matrix dimension 10 above the dense cap 4" in err
 
 
+def test_chain_collapse_projects_once(capsys, monkeypatch):
+    """The collapse report's layer sizes, line and defect come from one
+    breadth-first search and one walk matrix."""
+    calls = {"distance_layers": 0, "walk_matrix": 0}
+
+    def counted(name):
+        real = getattr(walkforge.spinchain, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(walkforge.spinchain, name, counted(name))
+    code, out, _ = _run(["chain", "xy", "--n", "6", "--sector", "3", "--collapse"], capsys)
+    assert code == 0 and "layer sizes = 1 1 2 3 3 3 3 2 1 1" in out
+    assert calls == {"distance_layers": 1, "walk_matrix": 1}
+
+
+def test_refused_collapse_writes_no_graph_file(tmp_path, capsys, monkeypatch):
+    """A collapse refused under the dense cap leaves no --out file behind."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", "2")
+    path = tmp_path / "sec.json"
+    code, _, err = _run(
+        ["chain", "xy", "--n", "5", "--sector", "2", "--collapse", "--out", str(path)], capsys
+    )
+    assert code == 2 and "above the dense cap" in err
+    assert not path.exists()
+
+
 def test_verify_builtin_cnot(capsys):
     """The freshly built CNOT decomposition passes at the default tolerance."""
     code, out, _ = _run(["verify", "--kind", "cnot"], capsys)
@@ -326,6 +358,22 @@ def test_verify_refuses_before_building_a_matrix_the_other_side_refuses(capsys, 
         assert code == 2 and "above the dense cap of 14" in err
 
 
+def test_verify_refuses_an_oversized_register_before_building(capsys, monkeypatch):
+    """A QFT or MCX register over the dense cap is refused before its circuit is built."""
+
+    def refuse(what):
+        return lambda *args: pytest.fail(f"{what} built before the refusal")
+
+    monkeypatch.delenv("WALKFORGE_MAX_QUBITS", raising=False)
+    monkeypatch.setattr(walkforge.cli, "build_qft_circuit", refuse("the qft circuit"))
+    monkeypatch.setattr(walkforge.cli, "_mcx_gate", refuse("the mcx gate"))
+    monkeypatch.setattr(walkforge.cli, "expand_multicontrol", refuse("the mcx ladder"))
+    code, _, err = _run(["verify", "--kind", "qft", "--n", "600"], capsys)
+    assert code == 2 and "circuit unitary needs 600 qubits, above the dense cap of 14" in err
+    code, _, err = _run(["verify", "--kind", "mcx", "--controls", "100"], capsys)
+    assert code == 2 and "circuit unitary needs 101 qubits, above the dense cap of 14" in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     """argparse usage failures propagate exit code 2."""
     assert main(["bogus"]) == 2
@@ -367,7 +415,19 @@ def test_simulate_refuses_a_circuit_too_wide_to_hold(tmp_path, capsys):
     cpath.write_text("QUBITS 40 ANCILLAS 0\nX q1\n")
     code, out, err = _run(["simulate", "--circuit", str(cpath)], capsys)
     assert code == 2 and out == ""
-    assert "state dimension 1099511627776 above the dense cap" in err
+    assert "circuit simulation on 40 qubits above twice the dense cap of 14" in err
+
+
+def test_simulate_refuses_a_wide_circuit_before_its_dimension(tmp_path, capsys, monkeypatch):
+    """A circuit wider than twice the cap is refused before the state
+    dimension 2^n is computed or a state is built."""
+    monkeypatch.delenv("WALKFORGE_MAX_QUBITS", raising=False)
+    monkeypatch.setattr(walkforge.cli, "basis_state", lambda *args: pytest.fail("state built"))
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("QUBITS 15000 ANCILLAS 0\n")
+    code, out, err = _run(["simulate", "--circuit", str(cpath)], capsys)
+    assert code == 2 and out == ""
+    assert "circuit simulation on 15000 qubits above twice the dense cap of 14" in err
 
 
 def test_simulate_circuit_width_bound_is_twice_the_cap(tmp_path, capsys, monkeypatch):
@@ -379,7 +439,7 @@ def test_simulate_circuit_width_bound_is_twice_the_cap(tmp_path, capsys, monkeyp
     assert code == 0 and json.loads(out)["amps"][1] == [1.0, 0.0]
     cpath.write_text("QUBITS 5 ANCILLAS 0\nX q5\n")
     code, _, err = _run(["simulate", "--circuit", str(cpath)], capsys)
-    assert code == 2 and "above the dense cap 16" in err
+    assert code == 2 and "circuit simulation on 5 qubits above twice the dense cap of 2" in err
 
 
 def test_encode_refuses_labels_too_wide_to_decompose(tmp_path, capsys):

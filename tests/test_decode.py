@@ -5,19 +5,27 @@ import numpy as np
 import pytest
 
 from walkforge import (
+    Circuit,
+    FundamentalPulse,
     Gate,
     PauliHamiltonian,
     PauliString,
     StaticQubitHamiltonian,
     WalkGraph,
     XYChain,
+    build_qft_circuit,
+    circuit_to_pulses,
     encode_binary,
+    exact_propagator,
     excitation_graph,
+    hamiltonian_from_text,
     matrix_to_walk,
     pulse_to_walk_edges,
+    replay_pulses,
     static_to_pauli,
     static_to_walk,
     to_matrix,
+    uniform_strengths,
     walk_matrix,
 )
 
@@ -263,37 +271,84 @@ def test_real_coefficients_realize_an_exactly_hermitian_matrix():
 
 
 def test_pulse_edges_single_x():
-    """An X drive on qubit 1 of 3 connects every index pair differing in that bit."""
-    out = pulse_to_walk_edges(Gate("RX", (1,), (0.4,)), 3)
-    assert out.n_qubits == 3
-    assert out.edges == ((0, 4), (1, 5), (2, 6), (3, 7))
-    assert out.phase_nodes == ()
+    """A delta pulse on qubit 1 of 3 hops between every index pair differing
+    in that bit, with amplitude strength, and adds no energies."""
+    out = pulse_to_walk_edges(FundamentalPulse("delta", (1,), 0.4, 1.0), 3)
+    assert out.n_nodes == 8
+    assert out.edges == ((0, 4, 0.4), (1, 5, 0.4), (2, 6, 0.4), (3, 7, 0.4))
+    assert out.onsite == (0.0,) * 8
 
 
 def test_pulse_edges_xx_pair():
-    """An XX drive flips two bits at once, pairing complementary indices."""
-    out = pulse_to_walk_edges(Gate("XX", (2, 3), (0.1,)), 3)
-    assert out.edges == ((0, 3), (1, 2), (4, 7), (5, 6))
-    assert out.phase_nodes == ()
+    """A vperp pulse flips two bits at once, pairing complementary indices."""
+    out = pulse_to_walk_edges(FundamentalPulse("vperp", (2, 3), 0.1, 1.0), 3)
+    assert out.edges == ((0, 3, 0.1), (1, 2, 0.1), (4, 7, 0.1), (5, 6, 0.1))
+    assert out.onsite == (0.0,) * 8
 
 
 def test_pulse_edges_z_drive():
-    """An RZ drive produces no hops, only phased nodes where the bit is up."""
-    out = pulse_to_walk_edges(Gate("RZ", (2,), (0.2,)), 3)
+    """An eps pulse produces no hops: its +strength Z puts +strength on the
+    nodes with the bit up and -strength on the others."""
+    out = pulse_to_walk_edges(FundamentalPulse("eps", (2,), 0.2, 1.0), 3)
     assert out.edges == ()
-    assert out.phase_nodes == (2, 3, 6, 7)
+    assert [j for j, e in enumerate(out.onsite) if e == 0.2] == [2, 3, 6, 7]
+    assert [j for j, e in enumerate(out.onsite) if e == -0.2] == [0, 1, 4, 5]
 
 
 def test_pulse_edges_rejects_unsupported_kind():
-    """Only the fundamental drive kinds map to walk moves."""
-    with pytest.raises(ValueError, match="unsupported gate kind"):
-        pulse_to_walk_edges(Gate("H", (1,)), 2)
+    """Only the fundamental drive kinds map to walk moves: a gate reaches
+    pulse_to_walk_edges through circuit_to_pulses, which refuses other kinds."""
+    c = Circuit(2, 0, (Gate("H", (1,)),))
+    with pytest.raises(ValueError, match="outside the fundamental set"):
+        circuit_to_pulses(c, uniform_strengths(2))
 
 
 def test_pulse_edges_rejects_wire_overflow():
-    """The gate must fit in the declared register."""
+    """The pulse must fit in the declared register."""
     with pytest.raises(ValueError, match="exceed the register"):
-        pulse_to_walk_edges(Gate("RX", (3,), (0.1,)), 2)
+        pulse_to_walk_edges(FundamentalPulse("delta", (3,), 1.0, 0.1), 2)
+    with pytest.raises(ValueError, match="exceed the register"):
+        pulse_to_walk_edges(FundamentalPulse("vperp", (1, 4), 1.0, 0.1), 3)
+
+
+_PULSES = (
+    FundamentalPulse("eps", (2,), 0.7, 0.37),
+    FundamentalPulse("delta", (1,), 1.3, 0.41),
+    FundamentalPulse("vperp", (1, 3), 0.6, 0.9),
+)
+
+
+@pytest.mark.parametrize("pulse", _PULSES, ids=lambda p: p.term)
+def test_pulse_walk_propagator_matches_replay(pulse):
+    """Each pulse term's walk, run for the pulse's duration, is its replayed propagator."""
+    g = pulse_to_walk_edges(pulse, 3)
+    got = exact_propagator(walk_matrix(g), pulse.duration)
+    assert np.max(np.abs(got - replay_pulses((pulse,), 3))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "pulse, text",
+    list(zip(_PULSES, ("QUBITS 3\n0.7 * Z2", "QUBITS 3\n-1.3 * X1", "QUBITS 3\n-0.6 * X1 X3"))),
+    ids=[p.term for p in _PULSES],
+)
+def test_pulse_walk_encodes_to_the_pulse_term(pulse, text):
+    """Binary encoding of a pulse's walk gives back the pulse's own Pauli term:
+    eps +strength Z, delta -strength X, vperp -strength XX."""
+    got = encode_binary(pulse_to_walk_edges(pulse, 3))
+    want = hamiltonian_from_text(text)
+    assert [s for _, s in got.terms] == [s for _, s in want.terms]
+    assert np.allclose([c for c, _ in got.terms], [c for c, _ in want.terms], rtol=0.0, atol=1e-15)
+
+
+def test_qft_schedule_walk_product_matches_replay():
+    """The fundamental QFT(3) schedule, read pulse by pulse as walks, multiplies
+    out to the replayed schedule."""
+    pulses = circuit_to_pulses(build_qft_circuit(3, "fundamental"), uniform_strengths(3))
+    u = np.eye(8, dtype=complex)
+    for p in pulses:
+        u = exact_propagator(walk_matrix(pulse_to_walk_edges(p, 3)), p.duration) @ u
+    assert len(pulses) == 63
+    assert np.max(np.abs(u - replay_pulses(pulses, 3))) <= 1e-12
 
 
 @pytest.mark.parametrize("field", ["eps", "delta", "chi", "vperp", "vpar"])

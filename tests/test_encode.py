@@ -177,6 +177,13 @@ def test_encode_binary_rejects_duplicate_labels():
         encode_binary(g, EncodingSpec("binary", labels=("1", "1")))
 
 
+def test_encode_binary_rejects_an_empty_label():
+    """An empty label is refused as a bit string, before it is read as a basis index."""
+    g = WalkGraph(1, (), (0.0,), ("",))
+    with pytest.raises(ValueError, match="label must be a nonempty bit string"):
+        encode_binary(g)
+
+
 def test_encode_binary_rejects_wrong_label_count():
     """Every node needs exactly one label."""
     g = WalkGraph(3, (), (0.0, 0.0, 0.0))

@@ -9,7 +9,7 @@ MODULES = ("circuit", "decode", "encode", "gatelib", "pauli", "sim", "spinchain"
 
 PUBLIC = {
     "Circuit", "EncodingSpec", "FundamentalPulse", "Gate", "Hyperlattice", "JordanWignerResult",
-    "PauliHamiltonian", "PauliString", "PulseStrengths", "PulseWalkEdges", "Schedule",
+    "PauliHamiltonian", "PauliString", "PulseStrengths", "Schedule",
     "StateVector", "StaticQubitHamiltonian", "TrotterPlan", "WalkGraph", "XYChain",
     "ancilla_ground_block", "apply", "band_energy", "basis_state", "build_cycle",
     "build_hypercube", "build_hyperlattice_graph", "build_line", "build_qft_circuit",
@@ -32,7 +32,7 @@ PUBLIC = {
 def test_package_exports_the_public_names():
     """__all__ holds exactly the documented names, sorted, without repeats."""
     assert set(walkforge.__all__) == PUBLIC
-    assert len(PUBLIC) == 79
+    assert len(PUBLIC) == 78
     assert walkforge.__all__ == sorted(PUBLIC)
 
 
