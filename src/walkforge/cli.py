@@ -296,12 +296,12 @@ def _verify_deviation(args) -> tuple[str, float, list[str]]:
         g = _load_graph(args.graph)
     elif args.kind is None:
         raise ValueError("verify --against oracle needs --kind")
+    # a kind's circuit and reference are at least as wide as its data
+    # register, so an oversized register is refused before either is built
+    check_qubit_count({"qft": args.n, "mcx": args.controls + 1}.get(args.kind, 0), "circuit unitary")
     if args.circuit:
         c = circuit_from_text(Path(args.circuit).read_text())
     else:
-        # a kind's circuit is at least as wide as its data register, so an
-        # oversized register is refused before anything is built
-        check_qubit_count({"qft": args.n, "mcx": args.controls + 1}.get(args.kind, 0), "circuit unitary")
         c = _VERIFY_KINDS[args.kind][0](args)
     # the circuit's cap, then the reference (which checks its own range), then
     # the unitary: neither matrix is built when the other side would refuse

@@ -358,8 +358,9 @@ def test_verify_refuses_before_building_a_matrix_the_other_side_refuses(capsys, 
         assert code == 2 and "above the dense cap of 14" in err
 
 
-def test_verify_refuses_an_oversized_register_before_building(capsys, monkeypatch):
-    """A QFT or MCX register over the dense cap is refused before its circuit is built."""
+def test_verify_refuses_an_oversized_register_before_building(tmp_path, capsys, monkeypatch):
+    """A QFT or MCX register over the dense cap is refused before its circuit
+    or, against a circuit file, its reference is built."""
 
     def refuse(what):
         return lambda *args: pytest.fail(f"{what} built before the refusal")
@@ -372,6 +373,11 @@ def test_verify_refuses_an_oversized_register_before_building(capsys, monkeypatc
     assert code == 2 and "circuit unitary needs 600 qubits, above the dense cap of 14" in err
     code, _, err = _run(["verify", "--kind", "mcx", "--controls", "100"], capsys)
     assert code == 2 and "circuit unitary needs 101 qubits, above the dense cap of 14" in err
+    monkeypatch.setattr(walkforge.cli, "_mcx_oracle", refuse("the mcx reference"))
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("QUBITS 1 ANCILLAS 0\nX q1\n")
+    code, _, err = _run(["verify", str(cpath), "--kind", "mcx", "--controls", "20"], capsys)
+    assert code == 2 and "circuit unitary needs 21 qubits, above the dense cap of 14" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):
