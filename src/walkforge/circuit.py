@@ -40,7 +40,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import isqrt
+from math import isfinite, isqrt
 
 import numpy as np
 
@@ -57,7 +57,7 @@ __all__ = [
     "circuit_from_text",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gate:
     """One gate: kind, wires in listed order (controls first), real parameters.
 
@@ -70,38 +70,41 @@ class Gate:
     params: tuple[float, ...] = ()
     polarities: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _GATES:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        object.__setattr__(self, "polarities", tuple(int(b) for b in self.polarities))
-        n_wires, n_params, _ = _GATES[self.kind]
+    def __init__(self, kind: str, qubits=(), params=(), polarities=()) -> None:
+        if kind not in _GATES:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        qubits = tuple(int(q) for q in qubits)
+        params = tuple(float(p) for p in params)
+        polarities = tuple(int(b) for b in polarities)
+        n_wires, n_params, _ = _GATES[kind]
         if n_wires is None:
-            if len(self.qubits) < 2:
-                raise ValueError(f"{self.kind} needs at least one control and a target")
-            if len(self.polarities) != len(self.qubits) - 1:
+            if len(qubits) < 2:
+                raise ValueError(f"{kind} needs at least one control and a target")
+            if len(polarities) != len(qubits) - 1:
                 raise ValueError("one polarity bit per control is required")
-            if set(self.polarities) - {0, 1}:
+            if set(polarities) - {0, 1}:
                 raise ValueError("polarities must be 0 or 1")
         else:
-            if len(self.qubits) != n_wires:
-                raise ValueError(f"{self.kind} acts on {n_wires} wires")
-            if self.polarities:
-                raise ValueError(f"{self.kind} takes no polarities")
-        if len(self.params) != n_params:
-            raise ValueError(f"{self.kind} takes {n_params} parameter(s)")
-        if len(set(self.qubits)) != len(self.qubits):
+            if len(qubits) != n_wires:
+                raise ValueError(f"{kind} acts on {n_wires} wires")
+            if polarities:
+                raise ValueError(f"{kind} takes no polarities")
+        if len(params) != n_params:
+            raise ValueError(f"{kind} takes {n_params} parameter(s)")
+        if len(set(qubits)) != len(qubits):
             raise ValueError("gate wires must be distinct")
-        if any(q < 1 for q in self.qubits):
+        if any(q < 1 for q in qubits):
             raise ValueError("wire indices are 1-based")
-        if any(not np.isfinite(p) for p in self.params):
+        if not all(map(isfinite, params)):
             raise ValueError("gate parameters must be finite")
-        if self.kind == "CRK":
-            k = self.params[0]
+        if kind == "CRK":
+            k = params[0]
             if k != int(k) or k < 1:
-                raise ValueError("CRK order k must be a positive integer")
-        object.__setattr__(self, "_hash", hash((self.kind, self.qubits, self.params, self.polarities)))
+                raise ValueError("CRK order k must be a positive integer (at least 1)")
+        self.__dict__.update(
+            kind=kind, qubits=qubits, params=params, polarities=polarities,
+            _hash=hash((kind, qubits, params, polarities)),
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -111,7 +114,7 @@ class Gate:
 
     @classmethod
     def _unchecked(cls, kind: str, qubits: tuple, params: tuple, polarities: tuple = ()) -> Gate:
-        """The gate of fields that already passed __post_init__ (int and float
+        """The gate of fields that already passed __init__ (int and float
         tuples), such as a valid gate's moved onto other distinct wires; the
         checks are not run again."""
         g = object.__new__(cls)

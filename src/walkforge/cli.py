@@ -132,8 +132,6 @@ def _load_static(path: str) -> StaticQubitHamiltonian:
     fields = ("n", "eps", "delta", "chi", "vperp", "vpar")
     if not isinstance(raw, dict) or set(raw) != set(fields):
         raise ValueError(f"static parameter file must have exactly the fields {sorted(fields)}")
-    if not _is_number(raw["n"], int):
-        raise ValueError("static parameter 'n' must be an integer")
     for f, depth in zip(fields[1:], (1, 1, 2, 2, 2)):
         if not _is_table(raw[f], depth):
             shape = "list" if depth == 1 else "matrix"
@@ -251,22 +249,24 @@ def _mcx_oracle(controls: int) -> np.ndarray:
     return u
 
 
-# verify kind -> (circuit builder, oracle matrix), each a function of the parsed
-# arguments; the lambdas look library names up at call time
+# verify kind -> (data width, circuit builder, oracle matrix), each a function
+# of the parsed arguments; the lambdas look library names up at call time
 _VERIFY_KINDS = {
-    "cnot": (lambda a: decompose_cnot(), lambda a: gate_conventions()["CNOT"]),
-    "toffoli": (lambda a: decompose_toffoli(), lambda a: gate_conventions()["TOFFOLI"]),
-    "swap": (lambda a: decompose_swap(), lambda a: gate_conventions()["SWAP"]),
-    "crk": (lambda a: decompose_controlled_rk(a.k), lambda a: gate_conventions()["CRK"](a.k)),
+    "cnot": (lambda a: 2, lambda a: decompose_cnot(), lambda a: gate_conventions()["CNOT"]),
+    "toffoli": (lambda a: 3, lambda a: decompose_toffoli(), lambda a: gate_conventions()["TOFFOLI"]),
+    "swap": (lambda a: 2, lambda a: decompose_swap(), lambda a: gate_conventions()["SWAP"]),
+    "crk": (lambda a: 2, lambda a: decompose_controlled_rk(a.k), lambda a: gate_conventions()["CRK"](a.k)),
     "crx": (
+        lambda a: 2,
         lambda a: decompose_controlled_rx(a.eps),
         lambda a: gate_conventions()["CRX"](2.0 * a.eps),
     ),
     "mcx": (
+        lambda a: a.controls + 1,
         lambda a: expand_multicontrol(_mcx_gate(a.controls), a.controls + 1),
         lambda a: _mcx_oracle(a.controls),
     ),
-    "qft": (lambda a: build_qft_circuit(a.n, "fundamental"), lambda a: qft_reference(a.n)),
+    "qft": (lambda a: a.n, lambda a: build_qft_circuit(a.n, "fundamental"), lambda a: qft_reference(a.n)),
 }
 
 
@@ -290,28 +290,31 @@ def _verify_deviation(args) -> tuple[str, float, list[str]]:
 
     if not args.circuit and args.kind is None:
         raise ValueError("verify needs a circuit file or --kind")
+    # the reference side first: its data width now, its matrix only when needed
     if args.against == "exact":
         if not args.graph:
             raise ValueError("verify --against exact needs --graph")
         g = _load_graph(args.graph)
+        h = encode_single_excitation(g) if args.scheme == "single" else encode_binary(g)
+        label, width = f"circuit vs exact propagator t={_format_num(args.t)}", h.m_qubits
+        reference = lambda: exact_propagator(to_matrix(h), args.t)
     elif args.kind is None:
         raise ValueError("verify --against oracle needs --kind")
-    # a kind's circuit and reference are at least as wide as its data
-    # register, so an oversized register is refused before either is built
-    check_qubit_count({"qft": args.n, "mcx": args.controls + 1}.get(args.kind, 0), "circuit unitary")
-    if args.circuit:
-        c = circuit_from_text(Path(args.circuit).read_text())
     else:
-        c = _VERIFY_KINDS[args.kind][0](args)
+        label, width = args.kind, _VERIFY_KINDS[args.kind][0](args)
+        reference = lambda: _VERIFY_KINDS[args.kind][2](args)
+    check_qubit_count(width, "circuit unitary")
+    # a kind's circuit is compared by its width before it is built, a file after parsing
+    c = circuit_from_text(Path(args.circuit).read_text()) if args.circuit else None
+    got = _VERIFY_KINDS[args.kind][0](args) if c is None else c.n_qubits
+    if got != width:
+        raise ValueError(f"circuit has {got} data qubit(s) but its reference acts on {width}")
+    if c is None:
+        c = _VERIFY_KINDS[args.kind][1](args)
     # the circuit's cap, then the reference (which checks its own range), then
     # the unitary: neither matrix is built when the other side would refuse
     check_qubit_count(c.n_wires, "circuit unitary")
-    if args.against == "exact":
-        h = encode_single_excitation(g) if args.scheme == "single" else encode_binary(g)
-        label = f"circuit vs exact propagator t={_format_num(args.t)}"
-        want = exact_propagator(to_matrix(h), args.t)
-    else:
-        label, want = args.kind, _VERIFY_KINDS[args.kind][1](args)
+    want = reference()
     return _unitary_report(label, ancilla_ground_block(unitary(c), c.n_ancillas), want)
 
 

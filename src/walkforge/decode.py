@@ -133,8 +133,7 @@ def static_to_walk(h: StaticQubitHamiltonian) -> WalkGraph:
 def matrix_to_walk(h: PauliHamiltonian) -> WalkGraph:
     """Read a walk graph off the dense matrix: energies from the diagonal,
     hop amplitudes as the negated off-diagonal elements."""
-    check_qubit_count(h.m_qubits, "matrix decode")
-    mat = to_matrix(h)
+    mat = to_matrix(h)  # checks the dense cap before it allocates
     scale = max(1.0, float(np.max(np.abs(mat))))
     # Real coefficients realize an exactly Hermitian matrix: each x-mask's
     # transform gives out[k, k ^ x] the conjugate of out[k ^ x, k] bit for bit

@@ -144,6 +144,11 @@ def _per_axis(value, count: int, length: int, what: str) -> list[np.ndarray]:
         return [np.full(length, float(value)) for _ in range(count)]
     arr = [np.asarray(v, dtype=float) for v in value]
     if all(a.ndim == 0 for a in arr):
+        if len(arr) == count == length > 1:
+            raise ValueError(
+                f"{what} of {count} numbers reads both as one value per axis and as "
+                f"{length} values along every axis; give one list per axis"
+            )
         arr = [np.full(length, float(a)) for a in arr]
     if len(arr) == count and all(a.shape == (length,) for a in arr):
         return arr

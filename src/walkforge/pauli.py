@@ -121,16 +121,6 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     return _from_masks(m, x, z, pa * pb * _PHASES[turns % 4])
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of the nonnegative int64 array a (numpy before
-    2.0 has no bitwise_count): bit pairs, then nibbles, then bytes are summed in
-    place, and the multiply gathers the byte sums in the top byte."""
-    a = a - (a >> 1 & 0x5555555555555555)
-    a = (a & 0x3333333333333333) + (a >> 2 & 0x3333333333333333)
-    a = (a + (a >> 4)) & 0x0F0F0F0F0F0F0F0F
-    return (a * 0x0101010101010101) >> 56  # wraps modulo 2^64; the top byte is at most 63
-
-
 _SPREAD = (
     (16, 0x0000FFFF0000FFFF),
     (8, 0x00FF00FF00FF00FF),
@@ -261,7 +251,7 @@ def to_matrix(h: PauliHamiltonian) -> np.ndarray:
     dim = 1 << m
     x = np.array([s.x for _, s in h.terms], dtype=np.int64)
     z = np.array([s.z for _, s in h.terms], dtype=np.int64)
-    quarter_turns = (_popcount(x & z) + 2 * _popcount(z)) % 4
+    quarter_turns = (np.bitwise_count(x & z) + 2 * np.bitwise_count(z)) % 4  # uint8: at most 3 * 63
     values = np.array([c for c, _ in h.terms], dtype=complex) * np.array(_PHASES)[quarter_turns]
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
@@ -313,10 +303,10 @@ def _symmetric_decomposition(m: int, entries: list[tuple[int, int, float]]) -> P
         r, z = np.nonzero(d)
         found.append((masks[r], z, d[r, z]))
     x, z, c = (np.concatenate(parts) for parts in zip(*found))
-    n_y = _popcount(x & z)
+    n_y = np.bitwise_count(x & z)
     even = n_y % 2 == 0
     x, z, c, n_y = x[even], z[even], c[even], n_y[even]
-    c = np.where((n_y // 2 + _popcount(z)) % 2 == 1, -c, c) / dim
+    c = np.where((n_y // 2 + np.bitwise_count(z)) % 2 == 1, -c, c) / dim
     if not np.all(np.isfinite(c)):
         raise ValueError("pauli coefficients must be finite")
     keep = np.abs(c) > MERGE_TOL

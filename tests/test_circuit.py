@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import math
 import pickle
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -786,3 +787,53 @@ def test_period_matches_a_brute_force_search():
         cases.append(codes)
     for codes in cases:
         assert _period(codes) == _brute_force_period(codes), codes
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("CZ", (1, 2)), "unknown gate kind 'CZ'"),
+        (("CNOT", (1, 2, 3)), "CNOT acts on 2 wires"),
+        (("MCX", (1,)), "MCX needs at least one control and a target"),
+        (("MCX", (1, 2, 3), (), (1,)), "one polarity bit per control is required"),
+        (("MCX", (1, 1), (), (2,)), "polarities must be 0 or 1"),
+        (("CNOT", (1, 2), (), (1,)), "CNOT takes no polarities"),
+        (("RX", (1,)), "RX takes 1 parameter(s)"),
+        (("CNOT", (0, 0), (1.0,)), "CNOT takes 0 parameter(s)"),
+        (("CNOT", (1, 1)), "gate wires must be distinct"),
+        (("CRK", (1, 1), (2.5,)), "gate wires must be distinct"),
+        (("RX", (0,), (0.1,)), "wire indices are 1-based"),
+        (("RX", (0,), (math.nan,)), "wire indices are 1-based"),
+        (("RX", (1,), (math.nan,)), "gate parameters must be finite"),
+        (("RX", (1,), (math.inf,)), "gate parameters must be finite"),
+        (("RZ", (1,), (-math.inf,)), "gate parameters must be finite"),
+        (("CRK", (1, 2), (0,)), "CRK order k must be a positive integer"),
+        (("CRK", (1, 2), (2.5,)), "CRK order k must be a positive integer"),
+    ],
+)
+def test_gate_refusals_keep_their_order_and_messages(args, message):
+    """Each bad gate is refused by the first check it fails, in the order
+    kind, wires and polarities, parameter count, distinct wires, 1-based
+    wires, finite parameters, CRK order."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Gate(*args)
+
+
+def test_gate_record_behaviour():
+    """Keywords, field conversion, replace (which checks again), repr,
+    equality and hashing, and pickling of a checked gate."""
+    g = Gate(kind="MCRX", qubits=[3, 1, 2], params=[np.float64(0.25)], polarities=(True, 0))
+    assert (g.qubits, g.params, g.polarities) == ((3, 1, 2), (0.25,), (1, 0))
+    assert type(g.params[0]) is float and type(g.polarities[0]) is int
+    assert repr(g) == "Gate(kind='MCRX', qubits=(3, 1, 2), params=(0.25,), polarities=(1, 0))"
+    moved = replace(g, qubits=(4, 1, 2))
+    assert moved == Gate("MCRX", (4, 1, 2), (0.25,), (1, 0)) and moved != g
+    assert hash(moved) == hash(Gate("MCRX", (4, 1, 2), (0.25,), (1, 0)))
+    with pytest.raises(ValueError, match="1-based"):
+        replace(g, qubits=(0, 1, 2))
+    with pytest.raises(FrozenInstanceError):
+        g.kind = "MCX"
+    back = pickle.loads(pickle.dumps(moved))
+    assert back == moved and hash(back) == hash(moved) and repr(back) == repr(moved)
+    assert Gate._unchecked("RX", (1,), (0.3,)) == Gate("RX", (1,), (0.3,))
+    assert hash(Gate._unchecked("RX", (1,), (0.3,))) == hash(Gate("RX", (1,), (0.3,)))

@@ -688,3 +688,37 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert (code, err) == (0, "")
     assert out == _run(argv, capsys)[1]
     assert graph_from_json(out) == walkforge.build_cycle(4)
+
+
+def test_verify_refuses_a_circuit_of_another_width_before_either_matrix(tmp_path, capsys, monkeypatch):
+    """A 1-wire circuit file against a 4-wire MCX reference or a 2-qubit walk
+    encoding was refused only after the reference matrix existed; the widths
+    are compared first, and a kind's circuit before it is built."""
+
+    def refuse(what):
+        return lambda *args: pytest.fail(f"{what} called before the width refusal")
+
+    for name in ("_mcx_oracle", "to_matrix", "exact_propagator", "unitary", "build_qft_circuit"):
+        monkeypatch.setattr(walkforge.cli, name, refuse(name))
+    cpath = tmp_path / "c1.txt"
+    cpath.write_text("QUBITS 1 ANCILLAS 0\nX q1\n")
+    code, _, err = _run(["verify", str(cpath), "--kind", "mcx", "--controls", "3"], capsys)
+    assert code == 2 and "circuit has 1 data qubit(s) but its reference acts on 4" in err
+    gpath = _write_graph(tmp_path, ["--kind", "line", "--n", "3"], name="g3.json")
+    code, _, err = _run(["verify", str(cpath), "--against", "exact", "--graph", str(gpath)], capsys)
+    assert code == 2 and "circuit has 1 data qubit(s) but its reference acts on 2" in err
+    argv = ["verify", "--against", "exact", "--graph", str(gpath), "--kind", "qft", "--n", "600"]
+    code, _, err = _run(argv, capsys)
+    assert code == 2 and "circuit has 600 data qubit(s) but its reference acts on 2" in err
+
+
+def test_verify_checks_an_exact_reference_against_the_cap(tmp_path, capsys, monkeypatch):
+    """The exact reference's width is its encoding's qubit count, refused above
+    the cap before the circuit file is read."""
+    monkeypatch.setenv("WALKFORGE_MAX_QUBITS", "2")
+    monkeypatch.setattr(walkforge.cli, "circuit_from_text", lambda *a: pytest.fail("circuit parsed"))
+    gpath = _write_graph(tmp_path, ["--kind", "line", "--n", "5"])
+    cpath = tmp_path / "c3.txt"
+    cpath.write_text("QUBITS 3 ANCILLAS 0\nX q1\n")
+    code, _, err = _run(["verify", str(cpath), "--against", "exact", "--graph", str(gpath)], capsys)
+    assert code == 2 and "circuit unitary needs 3 qubits, above the dense cap of 2" in err

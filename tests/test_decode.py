@@ -1,6 +1,8 @@
 """Qubit-to-walk inverse mappings against dense matrix-element oracles."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -385,3 +387,18 @@ def test_static_accepts_integer_entries():
     """Integer entries are numbers and still decode."""
     h = StaticQubitHamiltonian(1, [2], [0], [[0]], [[0]], [[0]])
     assert h.eps.dtype == float and h.eps[0] == 2.0
+
+
+def test_matrix_to_walk_refuses_above_the_cap_before_allocating(monkeypatch):
+    """A 20-qubit Hamiltonian (a 16 TiB dense matrix) is refused by to_matrix's
+    cap check before anything dense is allocated."""
+    monkeypatch.delenv("WALKFORGE_MAX_QUBITS", raising=False)
+    h = PauliHamiltonian(20, ((1.0, PauliString(20, "X" + "I" * 19)),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense pauli matrix needs 20 qubits, above the dense cap of 14"):
+            matrix_to_walk(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

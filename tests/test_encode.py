@@ -295,3 +295,37 @@ def test_hyperlattice_hamiltonian_rejects_no_axes():
     """At least one axis is required."""
     with pytest.raises(ValueError, match="at least one axis"):
         hyperlattice_qubit_hamiltonian(0, 2)
+
+
+def _kron_sum(blocks: list[np.ndarray]) -> np.ndarray:
+    """sum_ax I x ... x blocks[ax] x ... x I, axis 0 the most significant factor."""
+    dims = [b.shape[0] for b in blocks]
+    out = 0
+    for ax, b in enumerate(blocks):
+        left, right = int(np.prod(dims[:ax])), int(np.prod(dims[ax + 1:]))
+        out = out + np.kron(np.kron(np.eye(left), b), np.eye(right))
+    return out
+
+
+@pytest.mark.parametrize(
+    "d, n, kwargs",
+    [(2, 1, {"eps": [-1.0, 1.0]}), (3, 2, {"deltas": [0.5, 1.0, 1.5]}), (3, 2, {"deltas": (1, 1, 1)})],
+)
+def test_hyperlattice_hamiltonian_refuses_a_list_with_two_readings(d, n, kwargs):
+    """A flat list of d numbers that is also one number per node or bond of an
+    axis was read as one value per axis without a word; it is refused, and
+    either reading is one list per axis."""
+    ((what, value),) = kwargs.items()
+    with pytest.raises(ValueError, match=f"{what} of {d} numbers reads both as one value per axis"):
+        hyperlattice_qubit_hamiltonian(d, n, **kwargs)
+    per_axis = hyperlattice_qubit_hamiltonian(d, n, **{what: [[v] * len(value) for v in value]})
+    along = hyperlattice_qubit_hamiltonian(d, n, **{what: [list(value)] * d})
+    lines = [to_matrix(line_qubit_hamiltonian(n, **{what: v})) for v in value]
+    np.testing.assert_allclose(to_matrix(per_axis), _kron_sum(lines), atol=1e-12)
+    along_line = to_matrix(line_qubit_hamiltonian(n, **{what: list(value)}))
+    np.testing.assert_allclose(to_matrix(along), _kron_sum([along_line] * d), atol=1e-12)
+
+
+def test_hyperlattice_hamiltonian_single_axis_list_has_one_reading():
+    """With one axis a list of one bond is the same under both readings."""
+    assert hyperlattice_qubit_hamiltonian(1, 1, deltas=[0.7]) == line_qubit_hamiltonian(1, deltas=0.7)

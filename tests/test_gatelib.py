@@ -266,3 +266,23 @@ def test_fundamental_pulse_rejects_bad_wires(term, qubits, match):
     """Wire 0 and negative wires are refused, not read as the last wire."""
     with pytest.raises(ValueError, match=match):
         FundamentalPulse(term, qubits, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("k", [2.5, 0.5, math.inf, math.nan])
+def test_decompose_controlled_rk_refuses_what_the_gate_refuses(k):
+    """A fractional order was truncated (2.5 gave the CRK(2) build) and an
+    infinite one raised OverflowError; the order now passes the CRK gate's own
+    check, with its message."""
+    with pytest.raises(ValueError) as got:
+        decompose_controlled_rk(k)
+    with pytest.raises(ValueError) as want:
+        Gate("CRK", (1, 2), (k,))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_decompositions_refuse_non_finite_angles(angle):
+    """The first gate built from a non-finite angle refuses it."""
+    for build in (decompose_cphase, decompose_controlled_rx):
+        with pytest.raises(ValueError, match="gate parameters must be finite"):
+            build(angle)
