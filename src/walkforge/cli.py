@@ -232,8 +232,8 @@ def _encode_deviation(g: WalkGraph, scheme: str) -> float:
 
 def _unitary_report(label: str, got: np.ndarray, want: np.ndarray) -> tuple[str, float, list[str]]:
     """Phase-minimized distance plus the phase used and the worst entry, as bit labels."""
-    dev, phase = _distance_and_phase(got, want)
-    row, col = divmod(int(np.argmax(np.abs(got - np.exp(1j * phase) * want))), got.shape[0])
+    dev, phase, worst = _distance_and_phase(got, want)
+    row, col = divmod(worst, got.shape[0])
     bits = _index_labels(got.shape[0])
     return label, dev, [f"phase = {_format_num(phase)}", f"worst entry = row {bits[row]} col {bits[col]}"]
 

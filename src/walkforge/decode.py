@@ -31,9 +31,14 @@ _EDGE_TOL = 1e-14
 
 
 def _real_array(x, name: str) -> np.ndarray:
-    """x as a float array; strings, booleans and complex values are refused, not coerced."""
+    """x as a float array; strings, booleans and complex values are refused, not coerced.
+
+    numpy reads a list that mixes booleans with numbers as numbers, so a list
+    is searched for booleans entry by entry."""
     a = np.asarray(x)
-    if a.dtype.kind not in "iuf":
+    if a.dtype.kind not in "iuf" or (
+        a is not x and any(isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat)
+    ):
         raise ValueError(f"{name} must hold real numbers")
     return a.astype(float)
 

@@ -9,6 +9,7 @@ from commonly tabulated forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -54,9 +55,9 @@ class FundamentalPulse:
             raise ValueError("pulse wire indices are 1-based")
         if len(set(self.qubits)) != n_wires:
             raise ValueError("pulse wires must be distinct")
-        if not np.isfinite(self.strength):
+        if not isfinite(self.strength):
             raise ValueError("pulse strength must be finite")
-        if not np.isfinite(self.duration) or self.duration < 0:
+        if not isfinite(self.duration) or self.duration < 0:
             raise ValueError("pulse duration must be nonnegative")
 
 

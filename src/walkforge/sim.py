@@ -93,17 +93,60 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-# Phase search: the points of a 721-point grid on the circle that fall in the
-# bracket, when it is wider than the +-0.02 refinement window, then
-# golden-section refinement down to 1e-15 rad.
-_GRID_STEP = 2.0 * math.pi / 720
-_REFINE_HALF_WIDTH = 0.02
-_PHASE_RESOLUTION = 1e-15
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Phase search. A few entries T have their largest residual minimised in closed
+# form; every entry is then checked at that phase, and the largest ones above
+# T's minimum join T. T's minimum bounds the distance below, so the search ends
+# once a checked phase comes within _PHASE_TOL of it, or when no entry is above
+# it, or when T holds _FEW entries.
+_PHASE_TOL = 1e-16
+_FEW = 32
+_JOIN = 8
 
 
-def _distance_and_phase(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """unitary_distance together with the global phase in [-pi, pi] that attains it."""
+def _minimax(w: np.ndarray, z: np.ndarray, theta: float, half: float) -> tuple[float, float, complex]:
+    """min over gamma within half (at most pi) of theta of max_k |w_k - (e^{i gamma} - 1) z_k|,
+    its gamma and e^{i gamma} - 1.
+
+    The minimum lies at an end, at a stationary point of one entry, or where two
+    entries cross. With gamma = theta + psi and t = tan(psi / 2), each squared
+    entry times 1 + t^2 is A t^2 + B t + C, where A = |w' + 2z'|^2,
+    B = 4 Im(conj(w') z') and C = |w'|^2 for the residual w' and the term z' at
+    theta; none of these cancels at small distances. An entry is stationary
+    where B t^2 - 2 (A - C) t - B = 0, with A - C = 4 (Re(conj(w') z') + |z'|^2),
+    and two entries cross where their quadratics agree.
+    """
+    e1 = complex(-2.0 * math.sin(0.5 * theta) ** 2, math.sin(theta))  # e^{i theta} - 1
+    zc = (1.0 + e1) * z
+    wc = w - e1 * z
+    x = wc.conj() * zc
+    c = (wc * wc.conj()).real
+    amc = 4.0 * (x.real + (zc * zc.conj()).real)
+    coef = np.array([c + amc, 4.0 * x.imag, c])
+    qa, qb, qc = np.concatenate(
+        [[coef[1], -2.0 * amc, -coef[1]], (coef[:, :, None] - coef[:, None, :]).reshape(3, -1)], axis=1
+    )
+    # both roots q / qa and qc / q of every quadratic; a root at infinity is the
+    # end psi = pi, and a quadratic without real roots, or the difference of two
+    # equal entries, yields a spare candidate that costs one evaluation
+    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.concatenate([q / qa, qc / q])
+    end = math.tan(0.5 * half)
+    t = np.concatenate([(-end, end), t[np.abs(t) <= end]])
+    h = (coef[0] * (t * t)[:, None] + coef[1] * t[:, None] + coef[2]).max(axis=1) / (1.0 + t * t)
+    j = int(h.argmin())
+    psi = 2.0 * math.atan(t[j])
+    # e^{i gamma} - 1 from e^{i theta} and e^{i psi}, so that psi keeps the bits
+    # that theta + psi rounds away
+    d = e1 + (1.0 + e1) * complex(-2.0 * math.sin(0.5 * psi) ** 2, math.sin(psi))
+    return math.sqrt(h[j]), theta + psi, d
+
+
+def _distance_and_phase(u: np.ndarray, v: np.ndarray) -> tuple[float, float, int]:
+    """unitary_distance together with the global phase in [-pi, pi] that attains
+    it and the flat index of the largest entry of |u - e^{i phase} v| there.
+
+    Where the minimum is a plateau, the phase is one minimiser of several."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -113,48 +156,48 @@ def _distance_and_phase(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     for name, m in (("first", u), ("second", v)):
         if not np.max(np.abs(m.conj().T @ m - eye)) <= 1e-9 * dim:  # NaN fails too
             raise ValueError(f"{name} matrix is not unitary")
-
-    def dist(phi: float) -> float:
-        return float(np.max(np.abs(u - np.exp(1j * phi) * v)))
-
-    # arg tr(v^dagger u) is exact when u and v agree up to a phase.
+    # arg tr(v^dagger u) is exact when u and v agree up to a phase. Phases are
+    # offsets gamma from phi0, and the residual there is w - (e^{i gamma} - 1) z.
     phi0 = float(np.angle(np.vdot(v, u)))
-    best = (dist(phi0), phi0)
+    z = (np.exp(1j * phi0) * v).ravel()
+    w = u.ravel() - z
+    r = np.abs(w)
+    worst = int(r.argmax())
+    best, gamma = float(r[worst]), 0.0
+    au, az = np.abs(u.ravel()), np.abs(z)
+    # No phase gets below the modulus gap max ||u_k| - |v_k||.
+    gap = float(np.abs(au - az).max())
+    if best - gap <= _PHASE_TOL:
+        return best, phi0, worst
     # |u_k - e^{i phi} v_k|^2 = (|u_k| - |v_k|)^2 + 4 p_k sin^2((phi - theta_k) / 2)
     # with p_k = |u_k v_k| and theta_k = arg(u_k conj(v_k)), so a phase that beats
     # best lies within 2 asin(best / 2 sqrt(p)) of theta at the largest p. When
     # p = 0 or best >= 2 sqrt(p) the bracket is the whole circle.
-    prod = (u * v.conj()).ravel()
-    k = int(np.argmax(np.abs(prod)))
-    theta, root_p = float(np.angle(prod[k])), math.sqrt(abs(prod[k]))
-    if best[0] < 2.0 * root_p:
-        half = 2.0 * math.asin(best[0] / (2.0 * root_p))
-        lo, hi = theta - half, theta + half
-    else:
-        half, lo, hi = math.pi, -math.pi, math.pi
-    if half > _REFINE_HALF_WIDTH:
-        grid = np.arange(math.ceil(lo / _GRID_STEP), math.floor(hi / _GRID_STEP) + 1) * _GRID_STEP
-        vals = [dist(p) for p in grid]
-        i = int(np.argmin(vals))
-        best = min(best, (vals[i], float(grid[i])))
-        lo, hi = best[1] - _REFINE_HALF_WIDTH, best[1] + _REFINE_HALF_WIDTH
-    # Golden-section search; f is piecewise smooth in phi and unimodal near its minimum.
-    width = max(hi - lo, _PHASE_RESOLUTION)
-    steps = math.ceil(math.log(width / _PHASE_RESOLUTION) / -math.log(_INV_GOLDEN))
-    a, b = lo, hi
-    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
-    fc, fd = dist(c), dist(d)
-    for _ in range(steps):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = dist(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = dist(d)
-    dev, phi = min(best, (fc, c), (fd, d))
-    return dev, math.remainder(phi, 2.0 * math.pi)
+    k = int((au * az).argmax())
+    p = u.flat[k] * z[k].conjugate()
+    theta, root_p = math.atan2(p.imag, p.real), math.sqrt(au[k] * az[k])
+    half = 2.0 * math.asin(best / (2.0 * root_p)) if best < 2.0 * root_p else math.pi
+    # Start from the largest entries that fall and those that rise with gamma at
+    # phi0: the minimum is often where one of each cross.
+    rising = w.real * z.imag > w.imag * z.real  # Im(conj(w) z) > 0
+    join = min(_JOIN // 2, r.size)
+    few = np.concatenate([np.argpartition(r * rising, -join)[-join:], np.argpartition(r * ~rising, -join)[-join:]])
+    join = min(_JOIN, r.size)
+    while True:
+        low, cand, d = _minimax(w[few], z[few], theta, half)
+        r = np.abs(w - d * z)
+        top = int(r.argmax())
+        if r[top] < best:
+            best, gamma, worst = float(r[top]), cand, top
+        if best - max(low, gap) <= _PHASE_TOL or few.size >= _FEW:
+            break
+        r[few] = 0.0
+        over = np.argpartition(r, -join)[-join:]
+        over = over[r[over] > low]
+        if over.size == 0:
+            break
+        few = np.concatenate([few, over])
+    return best, math.remainder(phi0 + gamma, 2.0 * math.pi), worst
 
 
 def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -383,6 +383,26 @@ def test_static_refuses_to_coerce(n, field, value, match):
         StaticQubitHamiltonian(n, **arrays)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("eps", [1, True]),
+        ("delta", [0.5, False]),
+        ("chi", [[0, 1], [False, 0]]),
+        ("vperp", [[0.0, np.True_], [1.0, 0.0]]),
+        ("vpar", [np.zeros(2), [True, 0]]),
+    ],
+)
+def test_static_refuses_a_boolean_among_numbers(field, value):
+    """A boolean inside a list of numbers is refused like an all-boolean list,
+    not read as 0 or 1."""
+    arrays = {"eps": [0.0, 0.0], "delta": [0.0, 0.0]}
+    arrays.update({name: [[0.0, 0.0], [0.0, 0.0]] for name in ("chi", "vperp", "vpar")})
+    arrays[field] = value
+    with pytest.raises(ValueError, match=f"{field} must hold real numbers"):
+        StaticQubitHamiltonian(2, **arrays)
+
+
 def test_static_accepts_integer_entries():
     """Integer entries are numbers and still decode."""
     h = StaticQubitHamiltonian(1, [2], [0], [[0]], [[0]], [[0]])

@@ -268,6 +268,34 @@ def test_fundamental_pulse_rejects_bad_wires(term, qubits, match):
         FundamentalPulse(term, qubits, 1.0, 0.1)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("zz", (1, 2), 1.0, 0.1), "unknown pulse term 'zz'"),
+        (("zz", (0, 0), math.nan, -1.0), "unknown pulse term 'zz'"),
+        (("eps", (1, 2), 1.0, 0.1), "eps pulse acts on 1 qubit(s)"),
+        (("delta", (0, 0), math.nan, -1.0), "delta pulse acts on 1 qubit(s)"),
+        (("vperp", (1,), 1.0, 0.1), "vperp pulse acts on 2 qubit(s)"),
+        (("eps", (0,), 1.0, 0.1), "pulse wire indices are 1-based"),
+        (("vperp", (0, 0), math.nan, -1.0), "pulse wire indices are 1-based"),
+        (("vperp", (2, 2), math.nan, -1.0), "pulse wires must be distinct"),
+        (("eps", (1,), math.nan, -1.0), "pulse strength must be finite"),
+        (("delta", (1,), math.inf, 0.1), "pulse strength must be finite"),
+        (("vperp", (1, 2), -math.inf, 0.1), "pulse strength must be finite"),
+        (("eps", (1,), 1.0, -0.1), "pulse duration must be nonnegative"),
+        (("eps", (1,), 1.0, math.nan), "pulse duration must be nonnegative"),
+        (("delta", (1,), 1.0, math.inf), "pulse duration must be nonnegative"),
+    ],
+)
+def test_fundamental_pulse_refusals_keep_their_order_and_messages(args, message):
+    """Each bad pulse gets its own message, and a pulse with several faults
+    the message of the first check: term, wire count, wire base, distinct
+    wires, strength, duration."""
+    with pytest.raises(ValueError) as err:
+        FundamentalPulse(*args)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("k", [2.5, 0.5, math.inf, math.nan])
 def test_decompose_controlled_rk_refuses_what_the_gate_refuses(k):
     """A fractional order was truncated (2.5 gave the CRK(2) build) and an

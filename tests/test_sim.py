@@ -16,10 +16,14 @@ from walkforge import (
     collapse_to_line,
     evolve_walk,
     exact_propagator,
+    build_qft_circuit,
     fidelity,
+    qft_reference,
+    unitary,
     unitary_distance,
     walk_matrix,
 )
+from walkforge.sim import _distance_and_phase
 
 rng = np.random.default_rng(16180)
 
@@ -198,6 +202,96 @@ def test_unitary_distance_disjoint_supports():
     """With no entry shared by u and v the bracket is the whole circle: |1 - 0| = 1."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     assert unitary_distance(np.eye(2), x) == pytest.approx(1.0, abs=1e-15)
+
+
+def _rotation(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex)
+
+
+def _blocks(a, b):
+    out = np.zeros((len(a) + len(b),) * 2, dtype=complex)
+    out[: len(a), : len(a)], out[len(a) :, len(a) :] = a, b
+    return out
+
+
+def _bounded(u, v):
+    """Distance and phase, checked against the exhaustive scan, the modulus gap
+    and the distance at arg tr(v^dagger u)."""
+    got, phase, _ = _distance_and_phase(u, v)
+    aligned = float(np.max(np.abs(u - np.exp(1j * np.angle(np.vdot(v, u))) * v)))
+    assert got == unitary_distance(u, v)
+    assert got <= _scan_distance(u, v) + 1e-15
+    assert float(np.max(np.abs(np.abs(u) - np.abs(v)))) - 1e-15 <= got <= aligned
+    return got, phase
+
+
+def test_unitary_distance_on_a_plateau():
+    """Entries where v is 0 hold |u_k| = sin 0.6 at every phase; the three
+    diagonal entries all stay below it on [0.85 - w, 0.3], w = 2 asin(sin(0.6) / 2),
+    which arg tr(v^dagger u) misses. The phase is one point of that plateau."""
+    u = _blocks(_rotation(0.6), np.eye(1))
+    v = np.diag(np.exp(1j * np.array([0.0, 0.3, -0.85])))
+    got, phase = _bounded(u, v)
+    assert got == pytest.approx(math.sin(0.6), abs=1e-15)
+    assert 0.85 - 2.0 * math.asin(math.sin(0.6) / 2.0) - 1e-12 <= phase <= 0.3 + 1e-12
+    assert float(np.max(np.abs(u - np.exp(1j * np.angle(np.vdot(v, u))) * v))) > got + 0.05
+
+
+def test_unitary_distance_at_a_crossing():
+    """|1 - e^{i(phi + a_k)}| for phases 0.3, 1.1 and 0.5: the outer two cross at
+    phi = -0.7, where both slopes are nonzero, at 2 sin(0.2)."""
+    got, phase = _bounded(np.eye(3, dtype=complex), np.diag(np.exp(1j * np.array([0.3, 1.1, 0.5]))))
+    assert got == pytest.approx(2.0 * math.sin(0.2), abs=1e-15)
+    assert phase == pytest.approx(-0.7, abs=1e-12)
+
+
+def test_unitary_distance_at_a_smooth_minimum():
+    """The off-diagonal entries |sin 0.9 - e^{i phi} sin 0.3| are largest near
+    phi = 0 and lowest there, smoothly, at sin 0.9 - sin 0.3; the e^{0.4i} corner
+    pulls arg tr(v^dagger u) away from 0."""
+    u = _blocks(_rotation(0.9), np.eye(1))
+    v = _blocks(_rotation(0.3), np.exp(0.4j) * np.eye(1))
+    got, phase = _bounded(u, v)
+    assert got == pytest.approx(math.sin(0.9) - math.sin(0.3), abs=1e-15)
+    assert phase == pytest.approx(0.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("psi", [math.pi, math.pi - 0.1])
+def test_unitary_distance_over_the_whole_circle(psi):
+    """Every |u_k v_k| is at most 0.1, so 2 sqrt(0.1) < 1 is below the distance at
+    arg tr(v^dagger u) and the bracket is the whole circle. At psi = pi the two
+    diagonal entries |1 - 0.1 e^{i phi}| and |1 + 0.1 e^{i phi}| cross at
+    phi = +-pi / 2, at sqrt(1.01)."""
+    u = np.eye(2, dtype=complex)
+    v = np.array([[0.1, -math.sqrt(0.99) * np.exp(1j * psi)], [math.sqrt(0.99), 0.1 * np.exp(1j * psi)]])
+    aligned = float(np.max(np.abs(u - np.exp(1j * np.angle(np.vdot(v, u))) * v)))
+    assert aligned >= 2.0 * math.sqrt(np.max(np.abs(u * v)))
+    got, phase = _bounded(u, v)
+    if psi == math.pi:
+        assert got == pytest.approx(math.sqrt(1.01), abs=1e-15)
+        assert abs(phase) == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+def test_unitary_distance_with_every_entry_tied():
+    """QFT(6) against its reference: 4,096 entries of modulus 1/8 that differ
+    only by rounding."""
+    got, _ = _bounded(unitary(build_qft_circuit(6)), qft_reference(6))
+    assert got < 1e-13
+
+
+def test_unitary_distance_memory_stays_linear():
+    """A 256 x 256 pair peaks below eight complex copies of one matrix; the
+    unitarity checks alone take four."""
+    gen = np.random.default_rng(256)
+    u = _haar(gen, 256)
+    v = exact_propagator(np.diag(gen.normal(size=256)), 1e-3) @ u
+    tracemalloc.start()
+    try:
+        unitary_distance(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * u.nbytes
 
 
 def test_unitary_distance_one_by_one():
