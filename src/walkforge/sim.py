@@ -104,8 +104,8 @@ _JOIN = 8
 
 
 def _minimax(w: np.ndarray, z: np.ndarray, theta: float, half: float) -> tuple[float, float, complex]:
-    """min over gamma within half (at most pi) of theta of max_k |w_k - (e^{i gamma} - 1) z_k|,
-    its gamma and e^{i gamma} - 1.
+    """The minimum of max_k |w_k - (e^{i gamma} - 1) z_k| over |gamma - theta| <= half
+    (half <= pi), with its gamma and e^{i gamma} - 1.
 
     The minimum lies at an end, at a stationary point of one entry, or where two
     entries cross. With gamma = theta + psi and t = tan(psi / 2), each squared
@@ -180,9 +180,8 @@ def _distance_and_phase(u: np.ndarray, v: np.ndarray) -> tuple[float, float, int
     # Start from the largest entries that fall and those that rise with gamma at
     # phi0: the minimum is often where one of each cross.
     rising = w.real * z.imag > w.imag * z.real  # Im(conj(w) z) > 0
-    join = min(_JOIN // 2, r.size)
-    few = np.concatenate([np.argpartition(r * rising, -join)[-join:], np.argpartition(r * ~rising, -join)[-join:]])
-    join = min(_JOIN, r.size)
+    seed, join = min(_JOIN // 2, r.size), min(_JOIN, r.size)
+    few = np.concatenate([np.argpartition(r * side, -seed)[-seed:] for side in (rising, ~rising)])
     while True:
         low, cand, d = _minimax(w[few], z[few], theta, half)
         r = np.abs(w - d * z)
