@@ -99,11 +99,11 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 # once a checked phase comes within _PHASE_TOL of it, or when no entry is above
 # it, or when T holds _FEW entries.
 _PHASE_TOL = 1e-16
-_FEW = 32
-_JOIN = 8
+_FEW = 16
+_JOIN = 2
 
 
-def _minimax(w: np.ndarray, z: np.ndarray, theta: float, half: float) -> tuple[float, float, complex]:
+def _minimax(w: list[complex], z: list[complex], theta: float, half: float) -> tuple[float, float, complex]:
     """The minimum of max_k |w_k - (e^{i gamma} - 1) z_k| over |gamma - theta| <= half
     (half <= pi), with its gamma and e^{i gamma} - 1.
 
@@ -116,30 +116,28 @@ def _minimax(w: np.ndarray, z: np.ndarray, theta: float, half: float) -> tuple[f
     and two entries cross where their quadratics agree.
     """
     e1 = complex(-2.0 * math.sin(0.5 * theta) ** 2, math.sin(theta))  # e^{i theta} - 1
-    zc = (1.0 + e1) * z
-    wc = w - e1 * z
-    x = wc.conj() * zc
-    c = (wc * wc.conj()).real
-    amc = 4.0 * (x.real + (zc * zc.conj()).real)
-    coef = np.array([c + amc, 4.0 * x.imag, c])
-    qa, qb, qc = np.concatenate(
-        [[coef[1], -2.0 * amc, -coef[1]], (coef[:, :, None] - coef[:, None, :]).reshape(3, -1)], axis=1
-    )
-    # both roots q / qa and qc / q of every quadratic; a root at infinity is the
-    # end psi = pi, and a quadratic without real roots, or the difference of two
-    # equal entries, yields a spare candidate that costs one evaluation
-    q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.concatenate([q / qa, qc / q])
+    coef, quads = [], []
+    for wk, zk in zip(w, z):
+        zc, wc = (1.0 + e1) * zk, wk - e1 * zk
+        x = wc.conjugate() * zc
+        a_c, b, c = 4.0 * (x.real + abs(zc) ** 2), 4.0 * x.imag, abs(wc) ** 2
+        coef.append((c + a_c, b, c))
+        quads.append((b, -2.0 * a_c, -b))
+    quads += [(a - a2, b - b2, c - c2) for i, (a, b, c) in enumerate(coef) for a2, b2, c2 in coef[i + 1 :]]
     end = math.tan(0.5 * half)
-    t = np.concatenate([(-end, end), t[np.abs(t) <= end]])
-    h = (coef[0] * (t * t)[:, None] + coef[1] * t[:, None] + coef[2]).max(axis=1) / (1.0 + t * t)
-    j = int(h.argmin())
-    psi = 2.0 * math.atan(t[j])
+    ts = [-end, end]
+    for a, b, c in quads:
+        disc = b * b - 4.0 * a * c
+        if disc >= 0.0:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            # both roots, q / a and c / q; a root at infinity is the end psi = pi
+            ts += [num / den for num, den in ((q, a), (c, q)) if abs(num) <= end * abs(den) and den != 0.0]
+    h, t = min((max((a * t + b) * t + c for a, b, c in coef) / (1.0 + t * t), t) for t in ts)
+    psi = 2.0 * math.atan(t)
     # e^{i gamma} - 1 from e^{i theta} and e^{i psi}, so that psi keeps the bits
     # that theta + psi rounds away
     d = e1 + (1.0 + e1) * complex(-2.0 * math.sin(0.5 * psi) ** 2, math.sin(psi))
-    return math.sqrt(h[j]), theta + psi, d
+    return math.sqrt(max(h, 0.0)), theta + psi, d
 
 
 def _distance_and_phase(u: np.ndarray, v: np.ndarray) -> tuple[float, float, int]:
@@ -177,25 +175,25 @@ def _distance_and_phase(u: np.ndarray, v: np.ndarray) -> tuple[float, float, int
     p = u.flat[k] * z[k].conjugate()
     theta, root_p = math.atan2(p.imag, p.real), math.sqrt(au[k] * az[k])
     half = 2.0 * math.asin(best / (2.0 * root_p)) if best < 2.0 * root_p else math.pi
-    # Start from the largest entries that fall and those that rise with gamma at
-    # phi0: the minimum is often where one of each cross.
+    # Start from the largest entry that rises with gamma at phi0 and the largest
+    # that falls: the minimum is often where they cross.
     rising = w.real * z.imag > w.imag * z.real  # Im(conj(w) z) > 0
-    seed, join = min(_JOIN // 2, r.size), min(_JOIN, r.size)
-    few = np.concatenate([np.argpartition(r * side, -seed)[-seed:] for side in (rising, ~rising)])
+    few = [int((r * rising).argmax()), int((r * ~rising).argmax())]
+    join = min(_JOIN, r.size)
     while True:
-        low, cand, d = _minimax(w[few], z[few], theta, half)
+        low, cand, d = _minimax(w[few].tolist(), z[few].tolist(), theta, half)
         r = np.abs(w - d * z)
         top = int(r.argmax())
         if r[top] < best:
             best, gamma, worst = float(r[top]), cand, top
-        if best - max(low, gap) <= _PHASE_TOL or few.size >= _FEW:
+        if best - max(low, gap) <= _PHASE_TOL or len(few) >= _FEW:
             break
         r[few] = 0.0
         over = np.argpartition(r, -join)[-join:]
         over = over[r[over] > low]
         if over.size == 0:
             break
-        few = np.concatenate([few, over])
+        few += over.tolist()
     return best, math.remainder(phi0 + gamma, 2.0 * math.pi), worst
 
 
