@@ -30,7 +30,7 @@ from .circuit import (
 from .decode import StaticQubitHamiltonian, matrix_to_walk, static_to_walk
 from .encode import (
     EncodingSpec,
-    _binary_labels,
+    _binary_index,
     _gray_node_labels,
     _index_labels,
     encode_binary,
@@ -68,7 +68,6 @@ from .synth import (
 from .walkgraph import (
     Hyperlattice,
     WalkGraph,
-    _is_number,
     _json_document,
     build_cycle,
     build_hypercube,
@@ -121,9 +120,9 @@ def _cmd_encode(args) -> int:
 
 
 def _is_table(x, depth: int) -> bool:
-    """A JSON list nested depth deep whose leaves are numbers (not booleans)."""
+    """A JSON list nested exactly depth deep; StaticQubitHamiltonian checks the leaves."""
     if depth == 0:
-        return _is_number(x)
+        return not isinstance(x, list)
     return isinstance(x, list) and all(_is_table(v, depth - 1) for v in x)
 
 
@@ -218,10 +217,8 @@ def _encode_deviation(g: WalkGraph, scheme: str) -> float:
         idx = [1 << (g.n_nodes - 1 - j) for j in range(g.n_nodes)]
         got = mat[np.ix_(idx, idx)]
         return float(np.max(np.abs(got - target)))
-    h = encode_binary(g)
-    mat = to_matrix(h)
-    m = h.m_qubits
-    idx = [int(s, 2) for s in _binary_labels(g)]
+    mat = to_matrix(encode_binary(g))
+    m, idx = _binary_index(g)
     got = mat[np.ix_(idx, idx)]
     dev = float(np.max(np.abs(got - target)))
     rest = np.ones(1 << m, dtype=bool)

@@ -131,15 +131,17 @@ def static_to_walk(h: StaticQubitHamiltonian) -> WalkGraph:
     weights = np.hstack([h.delta + signs @ h.chi, np.broadcast_to(h.vperp[a, b], (dim, a.size))])
     targets = nodes ^ flips
     j, k = np.nonzero((targets > nodes) & (np.abs(weights) > _EDGE_TOL))
-    edges = zip(j.tolist(), targets[j, k].tolist(), weights[j, k].tolist())
-    return WalkGraph(dim, tuple(edges), tuple(onsite.tolist()), _index_labels(dim))
+    return WalkGraph._from_arrays(dim, j, targets[j, k], weights[j, k], onsite, _index_labels(dim))
 
 
 def matrix_to_walk(h: PauliHamiltonian) -> WalkGraph:
     """Read a walk graph off the dense matrix: energies from the diagonal,
     hop amplitudes as the negated off-diagonal elements."""
     mat = to_matrix(h)  # checks the dense cap before it allocates
-    scale = max(1.0, float(np.max(np.abs(mat))))
+    peak = float(np.max(np.abs(mat)))  # nan or inf if any entry is
+    if not np.isfinite(peak):
+        raise ValueError("matrix entries must be finite; the coefficients overflow")
+    scale = max(1.0, peak)
     # Real coefficients realize an exactly Hermitian matrix: each x-mask's
     # transform gives out[k, k ^ x] the conjugate of out[k ^ x, k] bit for bit
     # (up to the sign of zero), so only complex ones need the dense scan.
@@ -150,8 +152,7 @@ def matrix_to_walk(h: PauliHamiltonian) -> WalkGraph:
     real = mat.real
     dim = real.shape[0]
     rows, cols = np.nonzero(np.triu(np.abs(real) > _EDGE_TOL * scale, 1))  # row-major: (j, i), j < i
-    edges = zip(rows.tolist(), cols.tolist(), (-real[rows, cols]).tolist())
-    return WalkGraph(dim, tuple(edges), tuple(real.diagonal().tolist()), _index_labels(dim))
+    return WalkGraph._from_arrays(dim, rows, cols, -real[rows, cols], real.diagonal(), _index_labels(dim))
 
 
 def pulse_to_walk_edges(pulse: FundamentalPulse, n_qubits: int) -> WalkGraph:

@@ -8,6 +8,7 @@ contract every test checks.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,16 @@ def _check_labels(labels: tuple[str, ...], n_nodes: int) -> int:
     return m
 
 
+def _index_width(n_nodes: int) -> int:
+    """Bits of the binary expansions of 0..n_nodes-1, at least one."""
+    return max(1, (n_nodes - 1).bit_length())
+
+
 def _index_labels(n_nodes: int) -> tuple[str, ...]:
-    """Binary expansions of 0..n_nodes-1, on at least one bit."""
-    m = max(1, (n_nodes - 1).bit_length())
-    return tuple(format(j, f"0{m}b") for j in range(n_nodes))
+    """Binary expansions of 0..n_nodes-1, on _index_width(n_nodes) bits."""
+    m = _index_width(n_nodes)
+    bits = np.arange(n_nodes)[:, None] >> np.arange(m - 1, -1, -1) & 1
+    return tuple((bits + 48).astype(np.uint32).view(f"U{m}")[:, 0].tolist())  # 48, 49: '0', '1'
 
 
 def _gray_node_labels(n_nodes: int) -> tuple[str, ...]:
@@ -70,13 +77,13 @@ def _gray_node_labels(n_nodes: int) -> tuple[str, ...]:
     return gray_labels(m)
 
 
-def _binary_labels(g: WalkGraph, spec: EncodingSpec | None = None) -> tuple[str, ...]:
-    """Node labels of the binary scheme: the spec's, else the graph's, else the index labels."""
-    if spec is not None and spec.labels is not None:
-        return spec.labels
-    if g.labels is not None:
-        return g.labels
-    return _index_labels(g.n_nodes)
+def _binary_index(g: WalkGraph, spec: EncodingSpec | None = None) -> tuple[int, Sequence[int]]:
+    """Register width and each node's basis state in the binary scheme: from the
+    spec's labels, else the graph's, else node j at state j."""
+    labels = spec.labels if spec is not None and spec.labels is not None else g.labels
+    if labels is None:
+        return _index_width(g.n_nodes), range(g.n_nodes)
+    return _check_labels(labels, g.n_nodes), [int(s, 2) for s in labels]
 
 
 def encode_single_excitation(g: WalkGraph) -> PauliHamiltonian:
@@ -105,9 +112,7 @@ def encode_binary(g: WalkGraph, spec: EncodingSpec | None = None) -> PauliHamilt
     decoupled (zero rows)."""
     if spec is not None and spec.scheme != "binary":
         raise ValueError("encode_binary needs a binary-scheme spec")
-    labels = _binary_labels(g, spec)
-    m = _check_labels(labels, g.n_nodes)
-    index = [int(s, 2) for s in labels]
+    m, index = _binary_index(g, spec)
     entries = [(index[j], index[j], eps) for j, eps in enumerate(g.onsite) if eps != 0.0]
     for i, j, delta in g.edges:
         entries += [(index[i], index[j], -delta), (index[j], index[i], -delta)]

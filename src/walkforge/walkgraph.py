@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_INDEX = (int, np.integer)  # types of node indices; booleans are refused separately
+
+
 @dataclass(frozen=True)
 class WalkGraph:
     """Undirected weighted graph: nodes 0..n_nodes-1, edges (i, j, delta)."""
@@ -46,6 +49,8 @@ class WalkGraph:
         canon = []
         seen = set()
         for i, j, delta in self.edges:
+            if not (isinstance(i, _INDEX) and isinstance(j, _INDEX)) or isinstance(i, bool) or isinstance(j, bool):
+                raise ValueError("edge endpoints must be integers")
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError("edge endpoint out of range")
             if i == j:
@@ -54,7 +59,7 @@ class WalkGraph:
             if (a, b) in seen:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add((a, b))
-            canon.append((a, b, float(delta)))
+            canon.append((int(a), int(b), float(delta)))  # numpy ints would wrap in mask arithmetic
         onsite = tuple(float(e) for e in self.onsite)
         if not all(map(math.isfinite, [d for _, _, d in canon] + list(onsite))):
             raise ValueError("hop amplitudes and onsite energies must be finite")
@@ -64,6 +69,19 @@ class WalkGraph:
             if len(self.labels) != self.n_nodes:
                 raise ValueError("labels must have one entry per node")
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+
+    @classmethod
+    def _from_arrays(cls, n_nodes: int, rows, cols, hops, onsite, labels) -> "WalkGraph":
+        """A graph from index and value arrays whose pairs rows[k] < cols[k] <
+        n_nodes each occur once; only the values' finiteness is checked."""
+        if not (np.isfinite(hops).all() and np.isfinite(onsite).all()):
+            raise ValueError("hop amplitudes and onsite energies must be finite")
+        g = object.__new__(cls)
+        object.__setattr__(g, "n_nodes", n_nodes)
+        object.__setattr__(g, "edges", tuple(zip(rows.tolist(), cols.tolist(), hops.tolist())))
+        object.__setattr__(g, "onsite", tuple(onsite.tolist()))
+        object.__setattr__(g, "labels", labels)
+        return g
 
 
 @dataclass(frozen=True)

@@ -635,6 +635,16 @@ def test_nested_coerced_and_misplaced_inputs_exit_two(tmp_path, capsys, argv, na
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field, value", [("eps", [1, True]), ("chi", [[None]]), ("vpar", [[{}]])])
+def test_decode_static_reports_the_record_message_for_bad_entries(tmp_path, capsys, field, value):
+    """Entries that are not real numbers are refused by StaticQubitHamiltonian,
+    whose message names the field; the CLI checks only the nesting."""
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(_STATIC_OK | {field: value}))
+    code, out, err = _run(["decode", "--static", str(spath)], capsys)
+    assert code == 2 and out == "" and f"{field} must hold real numbers" in err
+
+
 def test_decode_static_accepts_integers(tmp_path, capsys):
     """Integer entries are JSON numbers and decode as before."""
     spath = tmp_path / "s.json"

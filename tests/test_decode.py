@@ -1,6 +1,7 @@
 """Qubit-to-walk inverse mappings against dense matrix-element oracles."""
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from walkforge import (
     encode_binary,
     exact_propagator,
     excitation_graph,
+    graph_to_json,
     hamiltonian_from_text,
     matrix_to_walk,
     pulse_to_walk_edges,
@@ -422,3 +424,77 @@ def test_matrix_to_walk_refuses_above_the_cap_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _template(n: int, local: np.random.Generator) -> StaticQubitHamiltonian:
+    """A random template on n qubits with some couplings switched off."""
+    chi, vperp, vpar = (local.normal(size=(n, n)) * (local.random((n, n)) < 0.7) for _ in range(3))
+    vperp, vpar = vperp + vperp.T, vpar + vpar.T
+    for m in (chi, vperp, vpar):
+        np.fill_diagonal(m, 0.0)
+    return StaticQubitHamiltonian(n, local.normal(size=n), local.normal(size=n), chi, vperp, vpar)
+
+
+def _real_pauli_sum(m: int, k: int, local: np.random.Generator) -> PauliHamiltonian:
+    """k real terms on m qubits whose strings hold an even number of Y letters."""
+    terms = []
+    for _ in range(k):
+        letters = local.choice(list("IXZY"), size=m)
+        if (letters == "Y").sum() % 2:
+            letters[np.flatnonzero(letters == "Y")[0]] = "X"
+        terms.append((float(local.normal()), PauliString(m, "".join(letters))))
+    return PauliHamiltonian(m, tuple(terms))
+
+
+_DECODED = [static_to_walk(_template(n, np.random.default_rng(300 + n))) for n in range(1, 9)] + [
+    matrix_to_walk(_real_pauli_sum(m, k, np.random.default_rng(400 + m))) for m, k in ((1, 2), (3, 6), (5, 20), (7, 40))
+]
+
+
+@pytest.mark.parametrize("g", _DECODED, ids=lambda g: f"n{g.n_nodes}")
+def test_decoded_graphs_equal_their_checked_construction(g):
+    """A decoder builds its graph from arrays without the per-edge checks; the
+    result equals, hashes and serializes as the checked constructor's, and
+    holds Python ints and floats."""
+    checked = WalkGraph(g.n_nodes, g.edges, g.onsite, g.labels)
+    assert g == checked and hash(g) == hash(checked)
+    assert graph_to_json(g) == graph_to_json(checked)
+    assert all(type(i) is int and type(j) is int and type(d) is float for i, j, d in g.edges)
+    assert all(type(e) is float for e in g.onsite) and all(type(s) is str for s in g.labels)
+
+
+def test_decoded_graphs_are_pinned():
+    """One static template and one matrix_to_walk result serialize to their recorded sha256."""
+    static = graph_to_json(static_to_walk(_template(5, np.random.default_rng(2021))))
+    matrix = graph_to_json(matrix_to_walk(_real_pauli_sum(4, 12, np.random.default_rng(2022))))
+    assert hashlib.sha256(static.encode()).hexdigest() == "3d5adaf692d4069a980b34c699bcdce6627c9291039a82678c135a0106f4b347"
+    assert hashlib.sha256(matrix.encode()).hexdigest() == "b71cf945d764e73dea239d085332e2f6c90e65de30e3e4aa3add261dbc12b04d"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("eps", [1e308, 1e308]), ("delta", [1e308, 0.0])],
+    ids=["onsite", "hop"],
+)
+def test_static_to_walk_refuses_an_overflowing_template(field, value):
+    """Finite template entries whose sums overflow are refused with the graph's
+    finiteness message: the onsite energy of node 00, or the qubit-1 flip
+    delta_1 + chi_21."""
+    arrays = {"eps": np.zeros(2), "delta": np.zeros(2), "chi": np.zeros((2, 2))}
+    arrays[field] = np.array(value)
+    if field == "delta":
+        arrays["chi"][1, 0] = 1e308
+    h = StaticQubitHamiltonian(2, vperp=np.zeros((2, 2)), vpar=np.zeros((2, 2)), **arrays)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="hop amplitudes and onsite energies must be finite"):
+        static_to_walk(h)
+
+
+def test_matrix_to_walk_refuses_an_overflowing_matrix():
+    """Two finite 1.5e308 terms sum to inf in the dense matrix; the matrix is
+    refused rather than read with an infinite edge threshold that drops every
+    edge, the finite IX hop among them."""
+    h = PauliHamiltonian(2, ((1.5e308, PauliString(2, "XI")), (1.5e308, PauliString(2, "XZ")), (1.0, PauliString(2, "IX"))))
+    with np.errstate(over="ignore"):
+        assert np.isinf(to_matrix(h)).any()
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            matrix_to_walk(h)

@@ -24,6 +24,7 @@ from walkforge import (
     to_matrix,
     walk_matrix,
 )
+from walkforge.encode import _index_labels
 
 rng = np.random.default_rng(8128)
 
@@ -168,6 +169,26 @@ def test_encode_binary_respects_explicit_labels():
     dense = to_matrix(encode_binary(g, spec))
     np.testing.assert_allclose(dense[np.ix_([2, 1], [2, 1])], walk_matrix(g), atol=1e-12)
     np.testing.assert_allclose(dense[0, 0], 0.0, atol=1e-12)
+
+
+def test_index_labels_are_the_binary_expansions():
+    """The array-built index labels equal format(j, '0mb') on the fewest bits, at least one."""
+    for n in range(1, 1101):
+        m = max(1, (n - 1).bit_length())
+        assert _index_labels(n) == tuple(format(j, f"0{m}b") for j in range(n))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [WalkGraph(1, (), (0.4,)), build_line(2, 0.7, [0.1, -0.3]), build_cycle(5, 1.1, 0.2)]
+    + [_random_graph(n) for n in (3, 8, 13)],
+)
+def test_encode_binary_of_an_unlabeled_graph_uses_the_index_labels(graph):
+    """Node j of an unlabeled graph sits at basis state j, as with explicit index labels."""
+    labels = _index_labels(graph.n_nodes)
+    want = encode_binary(graph, EncodingSpec("binary", labels))
+    assert encode_binary(graph) == want
+    assert encode_binary(WalkGraph(graph.n_nodes, graph.edges, graph.onsite, labels)) == want
 
 
 def test_encode_binary_rejects_duplicate_labels():

@@ -19,6 +19,7 @@ from walkforge import (
     circuit_to_text,
     decompose_cphase,
     decompose_swap,
+    encode_single_excitation,
     excitation_graph,
     graph_from_json,
     graph_to_json,
@@ -69,6 +70,23 @@ def test_walk_graph_rejects_bad_endpoint():
     """Edge endpoints must index existing nodes."""
     with pytest.raises(ValueError, match="out of range"):
         WalkGraph(2, ((0, 2, 1.0),), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("edge", [(0, True, 0.5), (False, 1, 0.5), (0, np.bool_(True), 0.5), (0, 1.0, 1.0), (0.0, 2, 1.0)])
+def test_walk_graph_refuses_boolean_and_float_endpoints(edge):
+    """True is not node 1 and 1.0 is not an index: walk_matrix and the encoders
+    would read such an edge differently, so it is refused on construction."""
+    with pytest.raises(ValueError, match="edge endpoints must be integers"):
+        WalkGraph(3, (edge,), (0.0, 0.0, 0.0))
+
+
+def test_walk_graph_stores_numpy_integer_endpoints_as_ints():
+    """numpy integers are node indices, stored as Python ints: a uint8 endpoint
+    kept as such wraps in the single-excitation masks and fails graph_to_json."""
+    g = WalkGraph(10, ((np.int64(9), np.uint8(0), 0.5),), (0.0,) * 10)
+    assert g.edges == ((0, 9, 0.5),) and all(type(i) is int for i in g.edges[0][:2])
+    assert encode_single_excitation(g) == encode_single_excitation(WalkGraph(10, ((0, 9, 0.5),), (0.0,) * 10))
+    assert graph_from_json(graph_to_json(g)) == g
 
 
 def test_walk_graph_canonicalizes_edge_order():
