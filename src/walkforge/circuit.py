@@ -57,6 +57,22 @@ __all__ = [
     "circuit_from_text",
 ]
 
+_INTEGER = (int, np.integer)
+_BITS = (int, np.integer, np.bool_)
+
+
+def _integers(values, message: str, bits: bool = False) -> tuple[int, ...]:
+    """values as ints. Anything but an int or a numpy integer (a float, a
+    string) is refused with message, and so is a boolean unless bits is set."""
+    values = tuple(values)
+    if {int}.issuperset(map(type, values)):  # the common case, checked at C speed
+        return values
+    allowed = _BITS if bits else _INTEGER
+    if not all(isinstance(v, allowed) and (bits or type(v) is not bool) for v in values):
+        raise ValueError(message)
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True, init=False)
 class Gate:
     """One gate: kind, wires in listed order (controls first), real parameters.
@@ -73,9 +89,9 @@ class Gate:
     def __init__(self, kind: str, qubits=(), params=(), polarities=()) -> None:
         if kind not in _GATES:
             raise ValueError(f"unknown gate kind {kind!r}")
-        qubits = tuple(int(q) for q in qubits)
+        qubits = _integers(qubits, "wire indices must be integers")
         params = tuple(float(p) for p in params)
-        polarities = tuple(int(b) for b in polarities)
+        polarities = _integers(polarities, "polarities must be 0 or 1", bits=True)
         n_wires, n_params, _ = _GATES[kind]
         if n_wires is None:
             if len(qubits) < 2:

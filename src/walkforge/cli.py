@@ -44,7 +44,7 @@ from .gatelib import (
     decompose_toffoli,
     expand_multicontrol,
 )
-from .pauli import hamiltonian_from_text, hamiltonian_to_text, to_matrix
+from .pauli import PauliHamiltonian, hamiltonian_from_text, hamiltonian_to_text, to_matrix
 from .sim import _distance_and_phase, basis_state, evolve_walk, exact_propagator
 from .spinchain import (
     XYChain,
@@ -108,22 +108,21 @@ def _cmd_graph(args) -> int:
     return 0
 
 
+def _hamiltonian(g: WalkGraph, scheme: str, labeling: str = "auto") -> PauliHamiltonian:
+    """The walk's qubit Hamiltonian under scheme; labeling (binary only) picks
+    the node labels, "auto" the graph's own or the encoder's default."""
+    if scheme == "single":
+        if labeling != "auto":
+            raise ValueError(f"--labeling {labeling} applies to --scheme binary only")
+        return encode_single_excitation(g)
+    labels = {"gray": _gray_node_labels, "index": _index_labels}.get(labeling)
+    return encode_binary(g, EncodingSpec("binary", labels(g.n_nodes)) if labels else None)
+
+
 def _cmd_encode(args) -> int:
-    g = _load_graph(args.graph)
-    if args.scheme == "single":
-        h = encode_single_excitation(g)
-    else:
-        labeling = {"gray": _gray_node_labels, "index": _index_labels}.get(args.labeling)
-        h = encode_binary(g, EncodingSpec("binary", labeling(g.n_nodes)) if labeling else None)
+    h = _hamiltonian(_load_graph(args.graph), args.scheme, args.labeling)
     _emit(hamiltonian_to_text(h), args.out)
     return 0
-
-
-def _is_table(x, depth: int) -> bool:
-    """A JSON list nested exactly depth deep; StaticQubitHamiltonian checks the leaves."""
-    if depth == 0:
-        return not isinstance(x, list)
-    return isinstance(x, list) and all(_is_table(v, depth - 1) for v in x)
 
 
 def _load_static(path: str) -> StaticQubitHamiltonian:
@@ -131,10 +130,6 @@ def _load_static(path: str) -> StaticQubitHamiltonian:
     fields = ("n", "eps", "delta", "chi", "vperp", "vpar")
     if not isinstance(raw, dict) or set(raw) != set(fields):
         raise ValueError(f"static parameter file must have exactly the fields {sorted(fields)}")
-    for f, depth in zip(fields[1:], (1, 1, 2, 2, 2)):
-        if not _is_table(raw[f], depth):
-            shape = "list" if depth == 1 else "matrix"
-            raise ValueError(f"static parameter '{f}' must be a {shape} of numbers")
     return StaticQubitHamiltonian(*(raw[f] for f in fields))
 
 
@@ -182,8 +177,7 @@ def _cmd_synth(args) -> int:
     if args.target == "trotter":
         if not args.graph:
             raise ValueError("synth trotter needs --graph")
-        g = _load_graph(args.graph)
-        h = encode_single_excitation(g) if args.encoding == "single" else encode_binary(g)
+        h = _hamiltonian(_load_graph(args.graph), args.scheme)
         c = trotterize(h, args.t, TrotterPlan(args.steps, args.ordering))
     elif args.target == "line-step":
         c = synth_line_walk_step(
@@ -212,12 +206,11 @@ def _random_graph(rng: np.random.Generator, max_nodes: int) -> WalkGraph:
 
 def _encode_deviation(g: WalkGraph, scheme: str) -> float:
     target = walk_matrix(g)
+    mat = to_matrix(_hamiltonian(g, scheme))
     if scheme == "single":
-        mat = to_matrix(encode_single_excitation(g))
         idx = [1 << (g.n_nodes - 1 - j) for j in range(g.n_nodes)]
         got = mat[np.ix_(idx, idx)]
         return float(np.max(np.abs(got - target)))
-    mat = to_matrix(encode_binary(g))
     m, idx = _binary_index(g)
     got = mat[np.ix_(idx, idx)]
     dev = float(np.max(np.abs(got - target)))
@@ -291,8 +284,7 @@ def _verify_deviation(args) -> tuple[str, float, list[str]]:
     if args.against == "exact":
         if not args.graph:
             raise ValueError("verify --against exact needs --graph")
-        g = _load_graph(args.graph)
-        h = encode_single_excitation(g) if args.scheme == "single" else encode_binary(g)
+        h = _hamiltonian(_load_graph(args.graph), args.scheme)
         label, width = f"circuit vs exact propagator t={_format_num(args.t)}", h.m_qubits
         reference = lambda: exact_propagator(to_matrix(h), args.t)
     elif args.kind is None:
@@ -370,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("encode", help="walk graph to Pauli Hamiltonian text")
     e.add_argument("graph", help="graph JSON file")
     e.add_argument("--scheme", required=True, choices=["single", "binary"])
-    e.add_argument("--labeling", choices=["auto", "gray", "index"], default="auto")
+    e.add_argument("--labeling", choices=["auto", "gray", "index"], default="auto", help="binary only")
     e.add_argument("--out")
     e.set_defaults(func=_cmd_encode)
 
@@ -396,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("synth", help="circuit synthesis")
     s.add_argument("target", choices=["trotter", "line-step", "qft"])
     s.add_argument("--graph", help="graph JSON (trotter)")
-    s.add_argument("--encoding", choices=["single", "binary"], default="binary")
+    s.add_argument("--scheme", choices=["single", "binary"], default="binary")
     s.add_argument("--t", type=float, default=1.0)
     s.add_argument("--steps", type=int, default=16)
     s.add_argument("--ordering", choices=["diagonal-first", "given"], default="diagonal-first")

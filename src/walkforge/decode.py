@@ -35,7 +35,10 @@ def _real_array(x, name: str) -> np.ndarray:
 
     numpy reads a list that mixes booleans with numbers as numbers, so a list
     is searched for booleans entry by entry."""
-    a = np.asarray(x)
+    try:
+        a = np.asarray(x)
+    except ValueError:  # numpy refuses a ragged nesting of lists
+        raise ValueError(f"{name} is ragged; nested lists must have equal lengths") from None
     if a.dtype.kind not in "iuf" or (
         a is not x and any(isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat)
     ):
@@ -124,11 +127,12 @@ def static_to_walk(h: StaticQubitHamiltonian) -> WalkGraph:
     bit = 1 << np.arange(n - 1, -1, -1)  # qubit a's bit in a node index
     signs = np.where(nodes & bit, -1.0, 1.0)  # (-1)^{j_a} per node and qubit
     a, b = np.triu_indices(n, 1)
-    onsite = signs @ h.eps + (signs[:, a] * signs[:, b]) @ h.vpar[a, b]
     # one column per flip: the n single flips (chi's zero diagonal drops c = a),
     # then the pairs a < b in row-major order
     flips = np.concatenate([bit, bit[a] | bit[b]])
-    weights = np.hstack([h.delta + signs @ h.chi, np.broadcast_to(h.vperp[a, b], (dim, a.size))])
+    with np.errstate(over="ignore", invalid="ignore"):  # _from_arrays refuses what overflows
+        onsite = signs @ h.eps + (signs[:, a] * signs[:, b]) @ h.vpar[a, b]
+        weights = np.hstack([h.delta + signs @ h.chi, np.broadcast_to(h.vperp[a, b], (dim, a.size))])
     targets = nodes ^ flips
     j, k = np.nonzero((targets > nodes) & (np.abs(weights) > _EDGE_TOL))
     return WalkGraph._from_arrays(dim, j, targets[j, k], weights[j, k], onsite, _index_labels(dim))
@@ -137,16 +141,17 @@ def static_to_walk(h: StaticQubitHamiltonian) -> WalkGraph:
 def matrix_to_walk(h: PauliHamiltonian) -> WalkGraph:
     """Read a walk graph off the dense matrix: energies from the diagonal,
     hop amplitudes as the negated off-diagonal elements."""
-    mat = to_matrix(h)  # checks the dense cap before it allocates
-    peak = float(np.max(np.abs(mat)))  # nan or inf if any entry is
-    if not np.isfinite(peak):
-        raise ValueError("matrix entries must be finite; the coefficients overflow")
-    scale = max(1.0, peak)
-    # Real coefficients realize an exactly Hermitian matrix: each x-mask's
-    # transform gives out[k, k ^ x] the conjugate of out[k ^ x, k] bit for bit
-    # (up to the sign of zero), so only complex ones need the dense scan.
-    if any(c.imag for c, _ in h.terms) and np.max(np.abs(mat - mat.T.conj())) > 1e-12 * scale:
-        raise ValueError("matrix is not hermitian")
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below refuse what overflows
+        mat = to_matrix(h)  # checks the dense cap before it allocates
+        peak = float(np.max(np.abs(mat)))  # nan or inf if any entry is
+        if not np.isfinite(peak):
+            raise ValueError("matrix entries must be finite; the coefficients overflow")
+        scale = max(1.0, peak)
+        # Real coefficients realize an exactly Hermitian matrix: each x-mask's
+        # transform gives out[k, k ^ x] the conjugate of out[k ^ x, k] bit for bit
+        # (up to the sign of zero), so only complex ones need the dense scan.
+        if any(c.imag for c, _ in h.terms) and np.max(np.abs(mat - mat.T.conj())) > 1e-12 * scale:
+            raise ValueError("matrix is not hermitian")
     if np.max(np.abs(mat.imag)) > 1e-12 * scale:
         raise ValueError("not a stoquastic-form walk; complex amplitudes unsupported")
     real = mat.real

@@ -13,7 +13,7 @@ from math import isfinite
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, _integers
 
 __all__ = [
     "FundamentalPulse",
@@ -48,7 +48,7 @@ class FundamentalPulse:
         if self.term not in ("eps", "delta", "vperp"):
             raise ValueError(f"unknown pulse term {self.term!r}")
         n_wires = 2 if self.term == "vperp" else 1
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", _integers(self.qubits, "pulse wire indices must be integers"))
         if len(self.qubits) != n_wires:
             raise ValueError(f"{self.term} pulse acts on {n_wires} qubit(s)")
         if any(q < 1 for q in self.qubits):
@@ -210,8 +210,10 @@ def expand_multicontrol(g: Gate, n_qubits: int) -> Circuit:
 
     The ladder folds the AND of the (polarity-adjusted) controls into the
     last ancilla, applies the singly-controlled target operation from there,
-    then uncomputes; ancillas start and end exactly down. One or two controls
-    short-circuit to CNOT/CRX or a plain Toffoli where possible.
+    then uncomputes; ancillas start and end exactly down. With one control
+    the ladder is empty and the target operation is controlled by it
+    directly (CNOT or CRX); two-control MCX is a plain Toffoli, which needs
+    no ancilla.
     """
     if g.kind not in ("MCX", "MCRX"):
         raise ValueError("only MCX and MCRX gates can be expanded")
@@ -221,23 +223,15 @@ def expand_multicontrol(g: Gate, n_qubits: int) -> Circuit:
     target = g.qubits[-1]
     m = len(controls)
     flips = [Gate("X", (c,)) for c, pol in zip(controls, g.polarities) if pol == 0]
-
-    def core(control_wire: int) -> Gate:
-        if g.kind == "MCX":
-            return Gate("CNOT", (control_wire, target))
-        return Gate("CRX", (control_wire, target), g.params)
-
-    if m == 1:
-        gates = flips + [core(controls[0])] + flips[::-1]
-        return Circuit(n_qubits, 0, tuple(gates))
     if m == 2 and g.kind == "MCX":
         gates = flips + [Gate("TOFFOLI", (controls[0], controls[1], target))] + flips[::-1]
         return Circuit(n_qubits, 0, tuple(gates))
 
-    n_anc = m - 1
-    anc = [n_qubits + i + 1 for i in range(n_anc)]
-    ladder = [Gate("TOFFOLI", (controls[0], controls[1], anc[0]))]
+    anc = [n_qubits + i + 1 for i in range(m - 1)]
+    ladder = [Gate("TOFFOLI", (controls[0], controls[1], anc[0]))] if anc else []
     for i in range(2, m):
         ladder.append(Gate("TOFFOLI", (controls[i], anc[i - 2], anc[i - 1])))
-    gates = flips + ladder + [core(anc[-1])] + ladder[::-1] + flips[::-1]
-    return Circuit(n_qubits, n_anc, tuple(gates))
+    wire = (anc or controls)[-1]  # holds the AND of the controls
+    core = Gate("CNOT", (wire, target)) if g.kind == "MCX" else Gate("CRX", (wire, target), g.params)
+    gates = flips + ladder + [core] + ladder[::-1] + flips[::-1]
+    return Circuit(n_qubits, len(anc), tuple(gates))

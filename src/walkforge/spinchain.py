@@ -13,8 +13,10 @@ from itertools import combinations
 
 import numpy as np
 
+from .circuit import _integers
+from .decode import _real_array
 from .pauli import PauliHamiltonian, PauliString, _from_masks
-from .walkgraph import WalkGraph, walk_matrix
+from .walkgraph import WalkGraph, build_line, walk_matrix
 
 __all__ = [
     "XYChain",
@@ -42,23 +44,22 @@ class XYChain:
     h: float = 0.0
 
     def __post_init__(self) -> None:
-        n = int(self.n_sites)
+        (n,) = _integers((self.n_sites,), "site count must be an integer")
         if n < 2:
             raise ValueError("chain needs at least two sites")
         object.__setattr__(self, "n_sites", n)
-        j = self.j
-        if np.isscalar(j):
-            bonds = (float(j),) * (n - 1)
-        else:
-            bonds = tuple(float(x) for x in j)
-        if len(bonds) != n - 1:
+        j = _real_array(self.j, "couplings")
+        if j.shape not in ((), (n - 1,)):
             raise ValueError(f"need {n - 1} bond couplings")
-        if any(not np.isfinite(x) for x in bonds):
+        if not np.isfinite(j).all():
             raise ValueError("couplings must be finite")
-        object.__setattr__(self, "j", bonds)
-        if not np.isfinite(self.h):
+        object.__setattr__(self, "j", tuple(np.broadcast_to(j, (n - 1,)).tolist()))
+        h = _real_array(self.h, "field")
+        if h.shape:
+            raise ValueError("field must be one number")
+        if not np.isfinite(h):
             raise ValueError("field must be finite")
-        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "h", float(h))
 
 
 def xy_hamiltonian(c: XYChain) -> PauliHamiltonian:
@@ -91,10 +92,7 @@ def jordan_wigner_walk(c: XYChain) -> JordanWignerResult:
     The walk spectrum plus the recorded offset equals the XY spectrum on the
     sector with exactly one down spin.
     """
-    n = c.n_sites
-    edges = tuple((i, i + 1, c.j[i]) for i in range(n - 1))
-    onsite = (-c.h,) * n
-    return JordanWignerResult(WalkGraph(n, edges, onsite), n * c.h / 2.0)
+    return JordanWignerResult(build_line(c.n_sites, c.j, -c.h), c.n_sites * c.h / 2.0)
 
 
 def _sector_labels(n_sites: int, n_exc: int) -> tuple[tuple[str, ...], dict[str, int]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_qubit_count
-from .circuit import _GATES, Circuit, Gate, _format_num, _Table, gate_conventions
+from .circuit import _GATES, Circuit, Gate, _format_num, _integers, _Table, gate_conventions
 from .encode import encode_binary
 from .gatelib import (
     FundamentalPulse,
@@ -65,9 +65,10 @@ class TrotterPlan:
     ordering: str = "diagonal-first"
 
     def __post_init__(self) -> None:
-        if int(self.n_steps) < 1:
+        (n_steps,) = _integers((self.n_steps,), "step count must be an integer")
+        if n_steps < 1:
             raise ValueError("step count must be at least 1")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "n_steps", n_steps)
         if self.ordering not in ("diagonal-first", "given"):
             raise ValueError(f"unknown term ordering {self.ordering!r}")
 
@@ -122,6 +123,21 @@ def _synth_term(coeff: float, s: PauliString, delta: float, make) -> list[int]:
     return _evolution(s, angle, (), make)
 
 
+def _trotter_circuit(m: int, pieces) -> Circuit:
+    """The circuit on m data qubits of each (h, t, plan) piece in turn: its
+    plan.n_steps sweeps, each one sweep's codes repeated. All pieces share one
+    table, so each distinct gate is built once."""
+    table = _Table()
+    codes: tuple[int, ...] = ()  # a lone piece's codes are its repeated sweep, not a copy
+    for h, t, plan in pieces:
+        delta = float(t) / plan.n_steps
+        terms = _ordered_terms(h, plan.ordering)
+        step = [k for coeff, s in terms for k in _synth_term(coeff, s, delta, table.make)]
+        codes += tuple(step) * plan.n_steps
+    n_anc = int(any(m + 1 in g.qubits for g in table.gates))  # the ladders' shared ancilla
+    return Circuit._from_codes(m, n_anc, table.gates, codes)
+
+
 def trotterize(h: PauliHamiltonian, t: float, plan: TrotterPlan) -> Circuit:
     """First-order split of exp(-i h t) into plan.n_steps sweeps over the terms.
 
@@ -131,13 +147,7 @@ def trotterize(h: PauliHamiltonian, t: float, plan: TrotterPlan) -> Circuit:
     one shared ancilla). Each distinct gate is built once, and the circuit's
     codes are one sweep's codes repeated.
     """
-    m = h.m_qubits
-    delta = float(t) / plan.n_steps
-    table = _Table()
-    terms = _ordered_terms(h, plan.ordering)
-    step = [k for coeff, s in terms for k in _synth_term(coeff, s, delta, table.make)]
-    n_anc = int(any(m + 1 in g.qubits for g in table.gates))  # the ladders' shared ancilla
-    return Circuit._from_codes(m, n_anc, table.gates, tuple(step) * plan.n_steps)
+    return _trotter_circuit(h.m_qubits, [(h, t, plan)])
 
 
 def _segment_hamiltonian(seg) -> PauliHamiltonian:
@@ -149,24 +159,16 @@ def _segment_hamiltonian(seg) -> PauliHamiltonian:
 
 
 def time_sliced(s: Schedule, plan: TrotterPlan | tuple[TrotterPlan, ...]) -> Circuit:
-    """Trotterize each segment in order; the earliest segment acts first."""
+    """Trotterize each segment in order, the earliest first, once every
+    segment is encoded and all act on one register size."""
     plans = (plan,) * len(s.segments) if isinstance(plan, TrotterPlan) else tuple(plan)
     if len(plans) != len(s.segments):
         raise ValueError("need one plan per segment")
-    pieces = [
-        trotterize(_segment_hamiltonian(seg), duration, p)
-        for (duration, seg), p in zip(s.segments, plans)
-    ]
-    m = pieces[0].n_qubits
-    if any(c.n_qubits != m for c in pieces):
+    hs = [_segment_hamiltonian(seg) for _, seg in s.segments]
+    m = hs[0].m_qubits
+    if any(h.m_qubits != m for h in hs):
         raise ValueError("segments act on different register sizes")
-    n_anc = max(c.n_ancillas for c in pieces)
-    table = _Table()
-    codes: list[int] = []
-    for c in pieces:
-        remap = [table.code(g) for g in c.table]
-        codes += map(remap.__getitem__, c.codes)
-    return Circuit._from_codes(m, n_anc, table.gates, codes)
+    return _trotter_circuit(m, [(h, duration, p) for h, (duration, _), p in zip(hs, s.segments, plans)])
 
 
 def synth_onsite(label: str, eps: float) -> Circuit:

@@ -837,3 +837,27 @@ def test_gate_record_behaviour():
     assert back == moved and hash(back) == hash(moved) and repr(back) == repr(moved)
     assert Gate._unchecked("RX", (1,), (0.3,)) == Gate("RX", (1,), (0.3,))
     assert hash(Gate._unchecked("RX", (1,), (0.3,))) == hash(Gate("RX", (1,), (0.3,)))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("CNOT", (1.9, 2.2)), "wire indices must be integers"),
+        (("CNOT", (1.0, 2)), "wire indices must be integers"),
+        (("CNOT", (True, 2)), "wire indices must be integers"),
+        (("RX", (np.bool_(True),), (0.1,)), "wire indices must be integers"),
+        (("MCX", (1, 2, 3), (), (True, 1.0)), "polarities must be 0 or 1"),
+        (("MCX", (1, 2), (), (0.5,)), "polarities must be 0 or 1"),
+    ],
+)
+def test_gate_refuses_non_integer_wires_and_polarities(args, message):
+    """Floats were truncated (wires (1.9, 2.2) became (1, 2), polarity 0.5
+    became 0) and boolean wires read as 1."""
+    with pytest.raises(ValueError, match=message):
+        Gate(*args)
+
+
+def test_gate_takes_numpy_integers_and_boolean_polarities():
+    g = Gate("MCX", (np.int64(3), np.uint8(1), 2), (), (np.True_, np.int32(0)))
+    assert g == Gate("MCX", (3, 1, 2), (), (1, 0))
+    assert all(type(v) is int for v in g.qubits + g.polarities)

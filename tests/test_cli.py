@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,17 @@ import pytest
 import walkforge
 from walkforge import (
     EncodingSpec,
+    TrotterPlan,
     circuit_from_text,
     circuit_to_text,
     encode_binary,
+    encode_single_excitation,
     gate_conventions,
     graph_from_json,
     graph_to_json,
     gray_labels,
     hamiltonian_to_text,
+    trotterize,
     unitary,
     walk_matrix,
 )
@@ -732,3 +736,69 @@ def test_verify_checks_an_exact_reference_against_the_cap(tmp_path, capsys, monk
     cpath.write_text("QUBITS 3 ANCILLAS 0\nX q1\n")
     code, _, err = _run(["verify", str(cpath), "--against", "exact", "--graph", str(gpath)], capsys)
     assert code == 2 and "circuit unitary needs 3 qubits, above the dense cap of 2" in err
+
+
+def test_decode_static_names_a_ragged_field(tmp_path, capsys):
+    """A matrix with rows of unequal length is refused by the record with a
+    message that names the field, not numpy's inhomogeneous-shape text."""
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps({"n": 2, "eps": [0, 0], "delta": [0, 0], "chi": [[0, 1], [0]],
+                                 "vperp": [[0, 0], [0, 0]], "vpar": [[0, 0], [0, 0]]}))
+    code, out, err = _run(["decode", "--static", str(spath)], capsys)
+    assert code == 2 and out == "" and err == "error: chi is ragged; nested lists must have equal lengths\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name, text",
+    [
+        (
+            ["decode", "--static"],
+            "s.json",
+            json.dumps({"n": 2, "eps": [1e308, 1e308], "delta": [0, 0], "chi": [[0, 0], [0, 0]],
+                        "vperp": [[0, 0], [0, 0]], "vpar": [[0, 0], [0, 0]]}),
+        ),
+        (["decode"], "h.txt", "QUBITS 2\n1.5e308 * X1\n1.5e308 * X1 Z2\n1 * X2\n"),
+    ],
+    ids=["static", "pauli"],
+)
+def test_decode_overflow_is_one_error_line_without_warnings(tmp_path, capsys, argv, name, text):
+    """Finite inputs whose sums overflow are refused with one error line; numpy's
+    overflow warning no longer precedes it (with warnings as errors it escaped
+    main as a RuntimeWarning)."""
+    path = tmp_path / name
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run([*argv, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("labeling", ["gray", "index"])
+def test_encode_single_refuses_a_labeling(tmp_path, capsys, labeling):
+    """--labeling picks binary labels; with --scheme single it was silently ignored."""
+    gpath = _write_graph(tmp_path, ["--kind", "line", "--n", "4"])
+    code, out, err = _run(["encode", str(gpath), "--scheme", "single", "--labeling", labeling], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: --labeling {labeling} applies to --scheme binary only\n"
+
+
+def test_every_encoding_command_spells_the_scheme_one_way():
+    """encode, synth and verify each take --scheme single|binary; none takes --encoding."""
+    from walkforge.cli import _build_parser
+
+    commands = next(a for a in _build_parser()._actions if a.dest == "cmd").choices
+    for name in ("encode", "synth", "verify"):
+        options = {s: a for a in commands[name]._actions for s in a.option_strings}
+        assert set(options["--scheme"].choices) == {"single", "binary"}
+        assert "--encoding" not in options
+
+
+def test_synth_trotter_single_scheme_is_the_library_circuit(tmp_path, capsys):
+    """synth trotter --scheme single prints trotterize of the single-excitation encoding."""
+    gpath = _write_graph(tmp_path, ["--kind", "cycle", "--n", "5", "--delta", "0.7", "--eps", "0.2"])
+    code, out, _ = _run(
+        ["synth", "trotter", "--graph", str(gpath), "--scheme", "single", "--t", "0.4", "--steps", "3"], capsys
+    )
+    want = trotterize(encode_single_excitation(graph_from_json(gpath.read_text())), 0.4, TrotterPlan(3))
+    assert code == 0 and out == circuit_to_text(want)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -498,3 +499,23 @@ def test_matrix_to_walk_refuses_an_overflowing_matrix():
         assert np.isinf(to_matrix(h)).any()
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             matrix_to_walk(h)
+
+
+def test_decoders_refuse_overflow_without_a_warning():
+    """With warnings as errors both decoders raise their ValueError; numpy's
+    overflow warnings used to escape first as RuntimeWarning."""
+    z = np.zeros((2, 2))
+    static = StaticQubitHamiltonian(2, [1e308, 1e308], [0.0, 0.0], z, z, z)
+    h = PauliHamiltonian(2, ((1.5e308, PauliString(2, "XI")), (1.5e308, PauliString(2, "XZ")), (1.0, PauliString(2, "IX"))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="hop amplitudes and onsite energies must be finite"):
+            static_to_walk(static)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            matrix_to_walk(h)
+
+
+def test_static_record_names_a_ragged_field():
+    z = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="chi is ragged"):
+        StaticQubitHamiltonian(2, [0.0, 0.0], [0.0, 0.0], [[0, 1], [0]], z, z)

@@ -1,6 +1,7 @@
 """Single- and few-qubit gate decompositions against their defining matrices."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -314,3 +315,30 @@ def test_decompositions_refuse_non_finite_angles(angle):
     for build in (decompose_cphase, decompose_controlled_rx):
         with pytest.raises(ValueError, match="gate parameters must be finite"):
             build(angle)
+
+
+def test_one_control_expansions_are_pinned():
+    """One-control MCX and MCRX at both polarities expand, through the ladder
+    with no ancilla, to their recorded text byte for byte."""
+    from walkforge import circuit_to_text
+
+    gates = (
+        Gate("MCX", (3, 1), (), (1,)),
+        Gate("MCX", (3, 1), (), (0,)),
+        Gate("MCRX", (2, 4), (0.3,), (1,)),
+        Gate("MCRX", (2, 4), (-1.1,), (0,)),
+    )
+    text = "".join(circuit_to_text(expand_multicontrol(g, 4)) for g in gates)
+    assert hashlib.sha256(text.encode()).hexdigest() == "efed6f2e93a194e8e850461d05fc08175e2b0d2f42e2863e7aa3e4182f2651cd"
+
+
+@pytest.mark.parametrize("wires", [(1.5,), (True,), (np.bool_(True),), ("1",)])
+def test_pulse_refuses_non_integer_wires(wires):
+    """A float wire was truncated (1.5 became wire 1)."""
+    with pytest.raises(ValueError, match="pulse wire indices must be integers"):
+        FundamentalPulse("eps", wires, 1.0, 0.1)
+
+
+def test_pulse_takes_numpy_integer_wires():
+    p = FundamentalPulse("vperp", (np.int64(1), np.int32(2)), 1.0, 0.1)
+    assert p.qubits == (1, 2) and all(type(q) is int for q in p.qubits)

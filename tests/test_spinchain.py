@@ -1,7 +1,9 @@
 """XY chains, sector graphs, Jordan-Wigner reduction, and column collapse."""
 from __future__ import annotations
 
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from walkforge import (
     collapse_to_line,
     distance_layers,
     excitation_graph,
+    graph_to_json,
     jordan_wigner_walk,
     to_matrix,
     walk_matrix,
@@ -182,3 +185,50 @@ def test_collapse_strict_rejects_open_graph():
     g = excitation_graph(XYChain(6, (1.0,) * 5), 3)
     with pytest.raises(ValueError, match="not column-collapsible"):
         collapse_to_line(g, 0, strict=True)
+
+
+@pytest.mark.parametrize(
+    "h, digest",
+    [
+        (0.0, "9d01a81e397b3e1e7f20eef3b4c2df42cff2f9f49cf842461a7fb61b49564718"),
+        (0.3, "f29cdaed9d90453566e2f545c4e9119be5b0a52150e8c9eb8e0d3849bddc87ef"),
+    ],
+)
+def test_jordan_wigner_walk_json_is_pinned(h, digest):
+    """The reduced path's JSON (energies -0.0 at zero field) and the offset
+    match their recorded sha256 byte for byte."""
+    r = jordan_wigner_walk(XYChain(4, (1.0, -0.5, 0.25), h))
+    assert hashlib.sha256((graph_to_json(r.graph) + repr(r.offset)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [2.7, 3.0, True])
+def test_chain_refuses_a_non_integer_site_count(n):
+    """XYChain(2.7, 1.0) was a 2-site chain."""
+    with pytest.raises(ValueError, match="site count must be an integer"):
+        XYChain(n, 1.0)
+
+
+@pytest.mark.parametrize(
+    "j, h, message",
+    [
+        (1.0, "0.5", "field must hold real numbers"),
+        (1.0, None, "field must hold real numbers"),
+        (1.0, [0.5], "field must be one number"),
+        (["1", True], 0.0, "couplings must hold real numbers"),
+        ([1.0, True], 0.0, "couplings must hold real numbers"),
+        ("0.5", 0.0, "couplings must hold real numbers"),
+        ([1.0, [2.0]], 0.0, "couplings is ragged"),
+    ],
+)
+def test_chain_refuses_non_numbers(j, h, message):
+    """Strings and None raised TypeError from np.isfinite, and ["1", True]
+    was stored as couplings (1.0, 1.0)."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        XYChain(3, j, h)
+
+
+def test_chain_keeps_its_finiteness_message_and_numpy_numbers():
+    with pytest.raises(ValueError, match="couplings must be finite"):
+        XYChain(3, [1.0, math.inf])
+    c = XYChain(np.int64(3), np.float32(0.5), np.int64(2))
+    assert (c.n_sites, c.j, c.h) == (3, (0.5, 0.5), 2.0) and type(c.h) is float

@@ -834,3 +834,34 @@ def test_each_template_is_built_once_per_parameter(monkeypatch):
     assert sorted(calls) == sorted(k for (k,) in orders)
     to_fundamental(c)
     assert len(calls) == 2 * len(orders)
+
+
+def test_three_segment_time_sliced_text_is_pinned():
+    """A schedule of a Pauli segment, a walk-graph segment and an encoded
+    segment, one plan each, matches its recorded sha256 byte for byte."""
+    h1 = PauliHamiltonian(3, ((0.7, PauliString(3, "XZI")), (-0.4, PauliString(3, "IYY")), (0.2, PauliString(3, "ZII"))))
+    h3 = encode_binary(build_line(8, [1.0, 0.5, -0.25, 0.75, 1.5, -1.0, 0.3], 0.2))
+    sched = Schedule(((0.5, h1), (0.3, build_cycle(8, 0.6, [0.1 * k for k in range(8)])), (0.8, h3)))
+    text = circuit_to_text(time_sliced(sched, (TrotterPlan(2), TrotterPlan(3, "given"), TrotterPlan(1))))
+    assert hashlib.sha256(text.encode()).hexdigest() == "d652881b7457a1032d4f35aa795d947c8f05b46c28f243a7740b711459674c45"
+
+
+def test_time_sliced_compares_register_sizes_before_synthesis():
+    """Segments on different registers are refused before any is synthesized,
+    so a later segment's size wins over an earlier one's complex coefficient."""
+    complex_term = PauliHamiltonian(2, ((0.5j, PauliString(2, "XI")),))
+    sched = Schedule(((1.0, complex_term), (1.0, PauliHamiltonian(3, ((1.0, PauliString(3, "XII")),)))))
+    with pytest.raises(ValueError, match="different register sizes"):
+        time_sliced(sched, TrotterPlan(1))
+
+
+@pytest.mark.parametrize("steps", [2.7, 2.0, True, "3"])
+def test_trotter_plan_refuses_non_integer_step_counts(steps):
+    """A float step count was truncated (2.7 ran 2 steps) and True ran one."""
+    with pytest.raises(ValueError, match="step count must be an integer"):
+        TrotterPlan(steps)
+
+
+def test_trotter_plan_takes_numpy_integers():
+    plan = TrotterPlan(np.int64(3))
+    assert plan.n_steps == 3 and type(plan.n_steps) is int
