@@ -18,11 +18,12 @@ the amplitudes as a single gather, so permutation circuits stay exactly 0/1.
 Every other gate acts on one or two wires, as one strided matmul or one 4 x 4
 GEMM over a transposed view, or is a multi-control, which acts by its 2 x 2
 target block on the indices whose controls match, never as its
-2^(m+1)-square matrix. A run of gates that starts and ends at a dense gate,
-stays within two wires and holds at least three dense gates and a monomial
-one (a lowered CNOT or SWAP, say) is fused: its 2 x 2 or 4 x 4 product is
-built once and applied in one pass over the block instead of one pass per
-gate.
+2^(m+1)-square matrix. One forward pass cuts the gates into runs on at most
+two wires, each ended by a gate on a third wire or by a Toffoli or
+multi-control, which stands alone. A run that holds at least three dense
+gates and a monomial one (a lowered CNOT or SWAP, say) is fused: its 2 x 2
+or 4 x 4 product is built once and applied in one pass over the block
+instead of one pass per gate.
 
 A circuit holds each distinct gate once, in a table in first-use order, and
 one integer code per occurrence. Synthesized circuits repeat a few gates many
@@ -39,7 +40,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from math import isfinite, isqrt
 
 import numpy as np
@@ -59,6 +59,7 @@ __all__ = [
 
 _INTEGER = (int, np.integer)
 _BITS = (int, np.integer, np.bool_)
+_REAL = (int, float, np.integer, np.floating)
 
 
 def _integers(values, message: str, bits: bool = False) -> tuple[int, ...]:
@@ -71,6 +72,17 @@ def _integers(values, message: str, bits: bool = False) -> tuple[int, ...]:
     if not all(isinstance(v, allowed) and (bits or type(v) is not bool) for v in values):
         raise ValueError(message)
     return tuple(map(int, values))
+
+
+def _reals(values, message: str) -> tuple[float, ...]:
+    """values as floats. Anything but an int, a float or a numpy real (a
+    string, a boolean, a complex) is refused with message."""
+    values = tuple(values)
+    if {float}.issuperset(map(type, values)):  # the common case, checked at C speed
+        return values
+    if not all(isinstance(v, _REAL) and type(v) is not bool for v in values):
+        raise ValueError(message)
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True, init=False)
@@ -90,7 +102,7 @@ class Gate:
         if kind not in _GATES:
             raise ValueError(f"unknown gate kind {kind!r}")
         qubits = _integers(qubits, "wire indices must be integers")
-        params = tuple(float(p) for p in params)
+        params = _reals(params, "gate parameters must be real numbers")
         polarities = _integers(polarities, "polarities must be 0 or 1", bits=True)
         n_wires, n_params, _ = _GATES[kind]
         if n_wires is None:
@@ -308,7 +320,7 @@ def _is_monomial(mat) -> bool:
 # monomial exactly when its target block is.
 _MONOMIAL = frozenset(kind for kind, (_, _, mat) in _GATES.items() if _is_monomial(mat))
 
-# Kinds on more than two wires or on any number of them: they end a fused run (see _plan).
+# Kinds on more than two wires or on any number of them: they stand alone in _plan.
 _WIDE = frozenset(kind for kind, (n_wires, _, _) in _GATES.items() if n_wires is None or n_wires > 2)
 
 
@@ -442,64 +454,30 @@ def _plan(table, codes) -> list:
     """The steps by which _run evaluates codes over table.
 
     A step is a code, whose gate is applied alone, or a fused run: (its codes,
-    its wires in increasing order), applied as one matrix. A run starts at a
-    dense gate on one or two wires and extends while its gates stay within
-    two wires (GPHASE fits anywhere; a gate on more wires or a multi-control
-    ends it). It is cut back to its last dense gate, so the monomial gates
-    around it stay in the index maps. It is fused when it holds at least three
-    dense gates (one 4 x 4 pass costs about two to three one-wire passes) and
-    a monomial gate, whose index map and gather fusing saves. Otherwise its
-    first gate is applied alone and the plan goes on from the next.
-
-    The longest run from i is a window [i, j) whose end j never moves back, so
-    planning is linear in the codes. The window's at most two wires are held
-    with the last position of each; a wire last seen before i has left it.
+    its wires in increasing order), applied as one matrix. One forward pass
+    cuts the codes into runs: each run's wires are a bitmask, and a run ends
+    where the next gate's wires would bring it to a third wire. GPHASE, on no
+    wire, fits anywhere; a gate of _WIDE never fits and stands alone. A run is
+    fused when it holds at least three dense gates (one 4 x 4 pass costs about
+    two to three one-wire passes) and a monomial gate, whose index map and
+    gather fusing saves; otherwise its codes are applied one by one.
     """
-    dense = [g.kind not in _MONOMIAL for g in table]
-    qubits = [None if g.kind in _WIDE else g.qubits for g in table]  # None ends runs
-    before = [0, *accumulate(map(dense.__getitem__, codes))]  # dense codes before each position
+    dense = [g.kind not in _MONOMIAL for g in table] + [False]
+    # three bits (wire "0" is never used) keep a wide gate out of every run
+    masks = [0b111 if g.kind in _WIDE else sum(1 << q for q in g.qubits) for g in table] + [0b111]
     steps: list = []
-    a = b = la = lb = -1  # the window's wires and their last positions
-    last = i = j = 0  # last: the window's last dense code
-    n = len(codes)
-    while i < n:
-        k = codes[i]
-        if dense[k] and qubits[k]:
-            if j < i:
-                j = i
-            while j < n:
-                kj = codes[j]
-                wires = qubits[kj]
-                if wires is None:
-                    break
-                # On a third wire the gate's first wire may already hold position
-                # j; that is harmless, since the gate at j is the next one tried.
-                for q in wires:
-                    if q == a:
-                        la = j
-                    elif q == b:
-                        lb = j
-                    elif la < i:
-                        a, la = q, j
-                    elif lb < i:
-                        b, lb = q, j
-                    else:  # a third wire
-                        break
-                else:
-                    if dense[kj]:
-                        last = j
-                    j += 1
-                    continue
-                break
-            end = last + 1
-            held = before[end] - before[i]
-            if held >= 3 and end - i > held:
-                run = codes[i:end]
-                steps.append((run, tuple(sorted({q for m in run for q in qubits[m]}))))
-                i = end
-                continue
-        steps.append(k)
-        i += 1
+    start = mask = held = 0
+    for i, k in enumerate((*codes, len(table))):  # the extra wide code ends the last run
+        if (mask | masks[k]).bit_count() > 2:
+            run = codes[start:i]
+            if held >= 3 and len(run) > held:
+                steps.append((run, tuple(q for q in range(mask.bit_length()) if mask >> q & 1)))
+            else:
+                steps.extend(run)
+            start = i
+            mask = held = 0
+        mask |= masks[k]
+        held += dense[k]
     return steps
 
 

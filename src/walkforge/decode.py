@@ -31,7 +31,8 @@ _EDGE_TOL = 1e-14
 
 
 def _real_array(x, name: str) -> np.ndarray:
-    """x as a float array; strings, booleans and complex values are refused, not coerced.
+    """x as a float array; strings, booleans and complex values are refused, not
+    coerced, and Python ints too large for int64 are read as floats.
 
     numpy reads a list that mixes booleans with numbers as numbers, so a list
     is searched for booleans entry by entry."""
@@ -39,6 +40,11 @@ def _real_array(x, name: str) -> np.ndarray:
         a = np.asarray(x)
     except ValueError:  # numpy refuses a ragged nesting of lists
         raise ValueError(f"{name} is ragged; nested lists must have equal lengths") from None
+    if a.dtype == object and all(type(e) in (int, float) for e in a.flat):  # ints past int64, as JSON numbers
+        try:
+            a = a.astype(float)
+        except OverflowError:
+            raise ValueError(f"{name} holds a number beyond the float range") from None
     if a.dtype.kind not in "iuf" or (
         a is not x and any(isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat)
     ):

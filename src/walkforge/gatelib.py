@@ -13,7 +13,7 @@ from math import isfinite
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _integers
+from .circuit import Circuit, Gate, _integers, _reals
 
 __all__ = [
     "FundamentalPulse",
@@ -55,6 +55,7 @@ class FundamentalPulse:
             raise ValueError("pulse wire indices are 1-based")
         if len(set(self.qubits)) != n_wires:
             raise ValueError("pulse wires must be distinct")
+        _reals((self.strength, self.duration), "pulse strength and duration must be real numbers")
         if not isfinite(self.strength):
             raise ValueError("pulse strength must be finite")
         if not isfinite(self.duration) or self.duration < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_qubit_count
-from .circuit import _GATES, Circuit, Gate, _format_num, _integers, _Table, gate_conventions
+from .circuit import _GATES, Circuit, Gate, _format_num, _integers, _reals, _Table, gate_conventions
 from .encode import encode_binary
 from .gatelib import (
     FundamentalPulse,
@@ -83,11 +83,13 @@ class Schedule:
     segments: tuple[tuple[float, object], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple((float(d), h) for d, h in self.segments))
         if not self.segments:
             raise ValueError("schedule has no segments")
-        if any(d <= 0 for d, _ in self.segments):
-            raise ValueError("segment durations must be positive")
+        durations, generators = zip(*self.segments)
+        durations = _reals(durations, "segment durations must be real numbers")
+        if not all(0 < d < math.inf for d in durations):
+            raise ValueError("segment durations must be positive and finite")
+        object.__setattr__(self, "segments", tuple(zip(durations, generators)))
 
 
 def _term_sort_key(item: tuple[complex, PauliString]) -> tuple:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_matrix_dimension
+from .circuit import _reals
 
 __all__ = [
     "WalkGraph",
@@ -46,6 +47,7 @@ class WalkGraph:
             raise ValueError("graph needs at least one node")
         if len(self.onsite) != self.n_nodes:
             raise ValueError("onsite energies must have one entry per node")
+        message = "hop amplitudes and onsite energies must be real numbers"
         canon = []
         seen = set()
         for i, j, delta in self.edges:
@@ -59,8 +61,10 @@ class WalkGraph:
             if (a, b) in seen:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add((a, b))
-            canon.append((int(a), int(b), float(delta)))  # numpy ints would wrap in mask arithmetic
-        onsite = tuple(float(e) for e in self.onsite)
+            if type(delta) is not float:
+                (delta,) = _reals((delta,), message)
+            canon.append((int(a), int(b), delta))  # numpy ints would wrap in mask arithmetic
+        onsite = _reals(self.onsite, message)
         if not all(map(math.isfinite, [d for _, _, d in canon] + list(onsite))):
             raise ValueError("hop amplitudes and onsite energies must be finite")
         object.__setattr__(self, "edges", tuple(canon))
@@ -68,7 +72,9 @@ class WalkGraph:
         if self.labels is not None:
             if len(self.labels) != self.n_nodes:
                 raise ValueError("labels must have one entry per node")
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+            if not all(isinstance(s, str) for s in self.labels):
+                raise ValueError("labels must be strings")
+            object.__setattr__(self, "labels", tuple(self.labels))
 
     @classmethod
     def _from_arrays(cls, n_nodes: int, rows, cols, hops, onsite, labels) -> "WalkGraph":

@@ -498,8 +498,9 @@ def _fused_runs(c: Circuit) -> int:
 
 def _lowered_circuits():
     """to_fundamental of two-wire gates on both wire orders and of a Toffoli, on
-    random wires of 3-5, the lowered QFT on 3-5 qubits, and a run of named dense
-    gates with CRX on both orders of its pair."""
+    random wires of 3-5, the lowered QFT on 3-5 qubits, a run of named dense
+    gates with CRX on both orders of its pair, and one-control MCX and MCRX
+    between dense gates on the same two wires."""
     gen = np.random.default_rng(57721)
     for kind in ("CNOT", "SWAP", "CRK", "CPHASE", "CRX", "TOFFOLI"):
         w = int(gen.integers(3, 6))
@@ -512,6 +513,13 @@ def _lowered_circuits():
     crx = [Gate("CRX", w, (t,)) for w, t in (((4, 2), 0.9), ((2, 4), -1.3))]
     named = (Gate("RX", (4,), (0.4,)), crx[0], Gate("RZ", (2,), (0.8,)), crx[1], Gate("H", (4,)), Gate("XX", (4, 2), (0.6,)))
     yield pytest.param(Circuit(4, 0, named), id="crx-both-orders")
+    rx, xx = Gate("RX", (3,), (0.5,)), Gate("XX", (1, 3), (0.7,))
+    lowered_cnot = tuple(to_fundamental(Circuit(3, 0, (Gate("CNOT", (3, 1)),))).gates)
+    one_control = (
+        rx, xx, Gate("MCX", (3, 1), (), (0,)), Gate("RX", (1,), (-0.2,)), xx,
+        Gate("MCRX", (1, 3), (1.1,), (1,)), *lowered_cnot, rx,
+    )
+    yield pytest.param(Circuit(3, 0, one_control), id="one-control-mcx-mcrx")
 
 
 @pytest.mark.parametrize("c", _lowered_circuits())
@@ -563,21 +571,36 @@ def test_a_run_of_two_dense_gates_runs_gate_by_gate():
     assert np.array_equal(apply(c, psi), col.reshape(8))
 
 
-def test_plan_fuses_up_to_the_last_dense_gate_within_two_wires():
-    """A run starts at a dense gate, takes GPHASE anywhere, stops before a third
-    wire or a Toffoli, and leaves the monomial gates after its last dense gate
-    to the index maps; a run of fewer than three dense gates is not fused."""
+def test_plan_cuts_runs_at_a_third_wire_or_a_wide_gate():
+    """One forward cut: a run keeps the monomial gates at both of its ends,
+    takes GPHASE anywhere, and ends before a third wire, a Toffoli or a
+    multi-control, even one with a single control on the run's two wires; a
+    run of fewer than three dense gates, or of dense gates alone, runs gate by
+    gate, and a run on one wire fuses to a 2 x 2."""
     rx = [Gate("RX", (q,), (0.1 * q,)) for q in (1, 2, 3)]
     rz, ph = Gate("RZ", (2,), (0.5,)), Gate("GPHASE", (), (0.2,))
-    xx, cnot, tof = Gate("XX", (2, 1), (0.3,)), Gate("CNOT", (1, 2)), Gate("TOFFOLI", (1, 2, 3))
-    c = Circuit(3, 0, (rz, rx[0], ph, xx, cnot, rx[1], rz, cnot, rx[2], rx[0], rx[1], tof, rx[0], rx[0]))
-    steps = _plan(c.table, c.codes)
-    runs = [(tuple(c.table[k] for k in run), wires) for run, wires in (s for s in steps if isinstance(s, tuple))]
-    assert runs == [((rx[0], ph, xx, cnot, rx[1]), (1, 2))]
-    # rz; the run; rz and cnot, for the index maps; rx3, rx1, rx2 alone; tof; rx1 twice
-    assert isinstance(steps[1], tuple)
-    alone = [c.table[k] for k in steps[:1] + steps[2:]]
-    assert alone == [rz, rz, cnot, rx[2], rx[0], rx[1], tof, rx[0], rx[0]]
+    xx, cnot, cnot31 = Gate("XX", (2, 1), (0.3,)), Gate("CNOT", (1, 2)), Gate("CNOT", (3, 1))
+    tof, mcx = Gate("TOFFOLI", (1, 2, 3)), Gate("MCX", (1, 2), (), (1,))
+    mcrx, rz1 = Gate("MCRX", (2, 1), (0.4,), (0,)), Gate("RZ", (1,), (0.6,))
+    gates = (
+        rz, cnot, rx[0], ph, xx, rx[1], cnot,  # fused on (1, 2)
+        rx[2], ph, cnot31, rx[0],  # a third wire starts a run; two dense gates
+        tof, rx[0], xx, rx[1],  # three dense gates and no monomial one
+        mcx, rx[0], rz1, rx[0], ph, rx[0],  # fused on (1,)
+        mcrx,
+    )
+    c = Circuit(3, 0, gates)
+    steps = [
+        (tuple(c.table[k] for k in s[0]), s[1]) if isinstance(s, tuple) else c.table[s]
+        for s in _plan(c.table, c.codes)
+    ]
+    assert steps == [
+        (gates[:7], (1, 2)),
+        rx[2], ph, cnot31, rx[0],
+        tof, rx[0], xx, rx[1],
+        mcx, (gates[16:21], (1,)),
+        mcrx,
+    ]
 
 
 def test_dense_gates_alone_are_not_fused():
@@ -861,3 +884,19 @@ def test_gate_takes_numpy_integers_and_boolean_polarities():
     g = Gate("MCX", (np.int64(3), np.uint8(1), 2), (), (np.True_, np.int32(0)))
     assert g == Gate("MCX", (3, 1, 2), (), (1, 0))
     assert all(type(v) is int for v in g.qubits + g.polarities)
+
+
+@pytest.mark.parametrize("param", ["0.5", True, np.bool_(True), 1j])
+def test_gate_refuses_parameters_that_are_not_real_numbers(param):
+    """A string, a boolean or a complex is not an angle: it is refused, not
+    coerced with float()."""
+    with pytest.raises(ValueError, match="gate parameters must be real numbers"):
+        Gate("RX", (1,), (param,))
+
+
+def test_gate_takes_integer_and_numpy_real_parameters():
+    """Ints and numpy reals are stored as plain floats."""
+    for param in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
+        g = Gate("RX", (1,), (param,))
+        assert g.params == (2.0,) and type(g.params[0]) is float
+    assert Gate("CRK", (1, 2), (3,)) == Gate("CRK", (1, 2), (3.0,))

@@ -802,3 +802,19 @@ def test_synth_trotter_single_scheme_is_the_library_circuit(tmp_path, capsys):
     )
     want = trotterize(encode_single_excitation(graph_from_json(gpath.read_text())), 0.4, TrotterPlan(3))
     assert code == 0 and out == circuit_to_text(want)
+
+
+def test_decode_static_reads_integers_past_int64_as_floats(tmp_path, capsys):
+    """A JSON integer too large for int64 decodes exactly like the same float;
+    one beyond the float range exits 2 with a ValueError message."""
+    outs = []
+    for eps in ("100000000000000000000", "1e20"):
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(_STATIC_OK).replace('"eps": [0]', f'"eps": [{eps}]'))
+        code, out, _ = _run(["decode", "--static", str(spath)], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and sorted(graph_from_json(outs[0]).onsite) == [-1e20, 1e20]
+    spath.write_text(json.dumps(_STATIC_OK | {"eps": [10**400]}))
+    code, out, err = _run(["decode", "--static", str(spath)], capsys)
+    assert code == 2 and out == "" and "eps holds a number beyond the float range" in err

@@ -342,3 +342,15 @@ def test_pulse_refuses_non_integer_wires(wires):
 def test_pulse_takes_numpy_integer_wires():
     p = FundamentalPulse("vperp", (np.int64(1), np.int32(2)), 1.0, 0.1)
     assert p.qubits == (1, 2) and all(type(q) is int for q in p.qubits)
+
+
+@pytest.mark.parametrize("strength, duration", [("0.5", 0.1), (0.5, "0.1"), (True, 0.1), (0.5, True), (1j, 0.1)])
+def test_pulse_refuses_fields_that_are_not_real_numbers(strength, duration):
+    """A string or a boolean strength or duration is refused with ValueError."""
+    with pytest.raises(ValueError, match="pulse strength and duration must be real numbers"):
+        FundamentalPulse("eps", (1,), strength, duration)
+
+
+def test_pulse_takes_integer_and_numpy_real_fields():
+    p = FundamentalPulse("eps", (1,), np.float64(0.5), 2)
+    assert (p.strength, p.duration) == (0.5, 2)

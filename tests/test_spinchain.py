@@ -232,3 +232,12 @@ def test_chain_keeps_its_finiteness_message_and_numpy_numbers():
         XYChain(3, [1.0, math.inf])
     c = XYChain(np.int64(3), np.float32(0.5), np.int64(2))
     assert (c.n_sites, c.j, c.h) == (3, (0.5, 0.5), 2.0) and type(c.h) is float
+
+
+def test_chain_reads_integers_past_int64_as_floats():
+    """An int too large for int64 is a number, read as a float; one beyond the
+    float range is refused with ValueError, not OverflowError."""
+    assert XYChain(3, 10**20).j == (1e20, 1e20)
+    assert XYChain(3, [10**20, 1.5]).j == (1e20, 1.5)
+    with pytest.raises(ValueError, match="couplings holds a number beyond the float range"):
+        XYChain(3, 10**400)

@@ -865,3 +865,18 @@ def test_trotter_plan_refuses_non_integer_step_counts(steps):
 def test_trotter_plan_takes_numpy_integers():
     plan = TrotterPlan(np.int64(3))
     assert plan.n_steps == 3 and type(plan.n_steps) is int
+
+
+@pytest.mark.parametrize("duration", ["0.5", True, math.nan, math.inf])
+def test_schedule_refuses_durations_that_are_not_positive_finite_reals(duration):
+    """A string, a boolean, nan or inf is not a segment duration."""
+    h = encode_binary(build_line(2))
+    with pytest.raises(ValueError, match="segment durations must be"):
+        Schedule(((0.5, h), (duration, h)))
+
+
+def test_schedule_takes_integer_and_numpy_real_durations():
+    h = encode_binary(build_line(2))
+    sched = Schedule(((1, h), (np.float64(0.5), h)))
+    assert [d for d, _ in sched.segments] == [1.0, 0.5]
+    assert all(type(d) is float for d, _ in sched.segments)

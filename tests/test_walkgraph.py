@@ -325,3 +325,25 @@ def test_walk_graph_rejects_non_finite(edges, onsite):
     """NaN or infinite hops and onsite energies are refused on construction."""
     with pytest.raises(ValueError, match="must be finite"):
         WalkGraph(2, edges, onsite)
+
+
+@pytest.mark.parametrize(
+    "edges, onsite",
+    [(((0, 1, "1.5"),), (0.0, 0.0)), (((0, 1, True),), (0.0, 0.0)), ((), ("1", 0.0)), ((), (0.0, np.bool_(False)))],
+)
+def test_walkgraph_refuses_values_that_are_not_real_numbers(edges, onsite):
+    """Hops and onsite energies must be real numbers: strings and booleans are
+    refused, not coerced."""
+    with pytest.raises(ValueError, match="hop amplitudes and onsite energies must be real numbers"):
+        WalkGraph(2, edges, onsite)
+
+
+def test_walkgraph_refuses_labels_that_are_not_strings():
+    with pytest.raises(ValueError, match="labels must be strings"):
+        WalkGraph(2, (), (0.0, 0.0), (0, 1))
+
+
+def test_walkgraph_takes_integer_and_numpy_real_values():
+    g = WalkGraph(2, ((0, 1, 2),), (np.float64(0.5), np.int64(1)))
+    assert g.edges == ((0, 1, 2.0),) and g.onsite == (0.5, 1.0)
+    assert all(type(v) is float for v in (g.edges[0][2], *g.onsite))
