@@ -76,13 +76,17 @@ def _integers(values, message: str, bits: bool = False) -> tuple[int, ...]:
 
 def _reals(values, message: str) -> tuple[float, ...]:
     """values as floats. Anything but an int, a float or a numpy real (a
-    string, a boolean, a complex) is refused with message."""
+    string, a boolean, a complex) is refused with message, and so is an int
+    beyond the float range."""
     values = tuple(values)
     if {float}.issuperset(map(type, values)):  # the common case, checked at C speed
         return values
     if not all(isinstance(v, _REAL) and type(v) is not bool for v in values):
         raise ValueError(message)
-    return tuple(map(float, values))
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise ValueError(f"{message} within the float range") from None
 
 
 @dataclass(frozen=True, init=False)

@@ -29,7 +29,6 @@ from .circuit import (
 )
 from .decode import StaticQubitHamiltonian, matrix_to_walk, static_to_walk
 from .encode import (
-    EncodingSpec,
     _binary_index,
     _gray_node_labels,
     _index_labels,
@@ -115,8 +114,8 @@ def _hamiltonian(g: WalkGraph, scheme: str, labeling: str = "auto") -> PauliHami
         if labeling != "auto":
             raise ValueError(f"--labeling {labeling} applies to --scheme binary only")
         return encode_single_excitation(g)
-    labels = {"gray": _gray_node_labels, "index": _index_labels}.get(labeling)
-    return encode_binary(g, EncodingSpec("binary", labels(g.n_nodes)) if labels else None)
+    labeler = {"gray": _gray_node_labels, "index": _index_labels}.get(labeling)
+    return encode_binary(g, labeler(g.n_nodes) if labeler else None)
 
 
 def _cmd_encode(args) -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_qubit_count
+from .circuit import _integers
 from .encode import _index_labels
 from .gatelib import FundamentalPulse
 from .pauli import PauliHamiltonian, PauliString, _from_masks, to_matrix
@@ -31,8 +32,9 @@ _EDGE_TOL = 1e-14
 
 
 def _real_array(x, name: str) -> np.ndarray:
-    """x as a float array; strings, booleans and complex values are refused, not
-    coerced, and Python ints too large for int64 are read as floats.
+    """x as a float array of finite values; strings, booleans and complex values
+    are refused, not coerced, and Python ints too large for int64 are read as
+    floats.
 
     numpy reads a list that mixes booleans with numbers as numbers, so a list
     is searched for booleans entry by entry."""
@@ -49,7 +51,10 @@ def _real_array(x, name: str) -> np.ndarray:
         a is not x and any(isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat)
     ):
         raise ValueError(f"{name} must hold real numbers")
-    return a.astype(float)
+    a = a.astype(float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
 @dataclass(frozen=True)
@@ -69,10 +74,7 @@ class StaticQubitHamiltonian:
     vpar: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.n_qubits
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError("qubit count must be an integer")
-        n = int(n)
+        (n,) = _integers((self.n_qubits,), "qubit count must be an integer")
         if n < 1:
             raise ValueError("need at least one qubit")
         object.__setattr__(self, "n_qubits", n)
@@ -80,15 +82,11 @@ class StaticQubitHamiltonian:
             v = _real_array(getattr(self, name), name)
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
         for name in ("chi", "vperp", "vpar"):
             m = _real_array(getattr(self, name), name)
             if m.shape != (n, n):
                 raise ValueError(f"{name} must have shape ({n}, {n})")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} must be finite")
             if np.any(np.diag(m) != 0.0):
                 raise ValueError(f"{name} diagonal must be zero")
             if name != "chi" and np.max(np.abs(m - m.T)) > 0.0:

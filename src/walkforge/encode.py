@@ -2,22 +2,22 @@
 
 Two encodings: one qubit per node (the walk lives in the single-up-spin
 subspace) and a binary encoding where node labels are bit strings over
-ceil(log2 n) qubits. Coefficients are normalized so the encoded matrix
-equals walk_matrix exactly on the embedded subspace; that equality is the
-contract every test checks.
+ceil(log2 n) qubits: encode_binary(g, labels) takes one label per node,
+else the graph's own, else node j at basis state j. Coefficients are
+normalized so the encoded matrix equals walk_matrix exactly on the
+embedded subspace; that equality is the contract every test checks.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import _integers
 from .pauli import PauliHamiltonian, PauliString, _check_bits, _from_masks, _symmetric_decomposition
 from .walkgraph import WalkGraph, build_line
 
 __all__ = [
-    "EncodingSpec",
     "encode_single_excitation",
     "encode_binary",
     "gray_labels",
@@ -27,35 +27,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EncodingSpec:
-    """Which encoding to use and, for the binary scheme, the node labels.
-
-    labels, when given, is one bit string per node (characters '0'/'1',
-    equal length, distinct); otherwise labels come from the graph or fall
-    back to the plain binary expansion of the node index.
-    """
-
-    scheme: str
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.scheme not in ("single_excitation", "binary"):
-            raise ValueError(f"unknown encoding scheme {self.scheme!r}")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-
-
-def _check_labels(labels: tuple[str, ...], n_nodes: int) -> int:
+def _check_labels(labels: Sequence[str], n_nodes: int) -> int:
     if len(labels) != n_nodes:
         raise ValueError("need exactly one label per node")
-    m = len(labels[0])
-    for s in labels:
-        if len(_check_bits(s, "label")) != m:
-            raise ValueError("labels must be equal-length bit strings")
+    widths = {len(_check_bits(s, "label")) for s in labels}
+    if len(widths) != 1:
+        raise ValueError("labels must be equal-length bit strings")
     if len(set(labels)) != n_nodes:
         raise ValueError("duplicate labels")
-    return m
+    return widths.pop()
 
 
 def _index_width(n_nodes: int) -> int:
@@ -63,11 +43,15 @@ def _index_width(n_nodes: int) -> int:
     return max(1, (n_nodes - 1).bit_length())
 
 
+def _bit_strings(values: np.ndarray, m: int) -> tuple[str, ...]:
+    """The binary expansion of each value, on m bits, high bit first."""
+    bits = values[:, None] >> np.arange(m - 1, -1, -1) & 1
+    return tuple((bits + 48).astype(np.uint32).view(f"U{m}")[:, 0].tolist())  # 48, 49: '0', '1'
+
+
 def _index_labels(n_nodes: int) -> tuple[str, ...]:
     """Binary expansions of 0..n_nodes-1, on _index_width(n_nodes) bits."""
-    m = _index_width(n_nodes)
-    bits = np.arange(n_nodes)[:, None] >> np.arange(m - 1, -1, -1) & 1
-    return tuple((bits + 48).astype(np.uint32).view(f"U{m}")[:, 0].tolist())  # 48, 49: '0', '1'
+    return _bit_strings(np.arange(n_nodes), _index_width(n_nodes))
 
 
 def _gray_node_labels(n_nodes: int) -> tuple[str, ...]:
@@ -77,10 +61,10 @@ def _gray_node_labels(n_nodes: int) -> tuple[str, ...]:
     return gray_labels(m)
 
 
-def _binary_index(g: WalkGraph, spec: EncodingSpec | None = None) -> tuple[int, Sequence[int]]:
-    """Register width and each node's basis state in the binary scheme: from the
-    spec's labels, else the graph's, else node j at state j."""
-    labels = spec.labels if spec is not None and spec.labels is not None else g.labels
+def _binary_index(g: WalkGraph, labels: Sequence[str] | None = None) -> tuple[int, Sequence[int]]:
+    """Register width and each node's basis state in the binary scheme: from
+    labels, else the graph's, else node j at state j."""
+    labels = g.labels if labels is None else labels
     if labels is None:
         return _index_width(g.n_nodes), range(g.n_nodes)
     return _check_labels(labels, g.n_nodes), [int(s, 2) for s in labels]
@@ -106,13 +90,12 @@ def encode_single_excitation(g: WalkGraph) -> PauliHamiltonian:
     return PauliHamiltonian(m, tuple(terms))
 
 
-def encode_binary(g: WalkGraph, spec: EncodingSpec | None = None) -> PauliHamiltonian:
+def encode_binary(g: WalkGraph, labels: Sequence[str] | None = None) -> PauliHamiltonian:
     """Binary encoding: the Pauli decomposition of walk_matrix(g) embedded with
-    node j at basis state |label_j>. Unlabeled basis states are exactly
-    decoupled (zero rows)."""
-    if spec is not None and spec.scheme != "binary":
-        raise ValueError("encode_binary needs a binary-scheme spec")
-    m, index = _binary_index(g, spec)
+    node j at basis state |labels[j]>, labels being distinct equal-length bit
+    strings (default: the graph's, else node j at state j). Unlabeled basis
+    states are exactly decoupled (zero rows)."""
+    m, index = _binary_index(g, labels)
     entries = [(index[j], index[j], eps) for j, eps in enumerate(g.onsite) if eps != 0.0]
     for i, j, delta in g.edges:
         entries += [(index[i], index[j], -delta), (index[j], index[i], -delta)]
@@ -121,13 +104,11 @@ def encode_binary(g: WalkGraph, spec: EncodingSpec | None = None) -> PauliHamilt
 
 def gray_labels(n_qubits: int) -> tuple[str, ...]:
     """Bit-string labels for line positions 1..2^N; neighbors differ in one bit."""
+    (n_qubits,) = _integers((n_qubits,), "qubit count must be an integer")
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    out = []
-    for p in range(2**n_qubits):
-        v = p ^ (p >> 1)
-        out.append(format(v, f"0{n_qubits}b"))
-    return tuple(out)
+    p = np.arange(2**n_qubits)
+    return _bit_strings(p ^ p >> 1, n_qubits)
 
 
 def line_position(x: str) -> int:
@@ -173,7 +154,7 @@ def line_qubit_hamiltonian(n_qubits: int, deltas=1.0, eps=None) -> PauliHamilton
         raise ValueError("need at least one qubit")
     n_nodes = 2**n_qubits
     g = build_line(n_nodes, deltas=deltas, eps=eps)
-    return encode_binary(g, EncodingSpec("binary", gray_labels(n_qubits)))
+    return encode_binary(g, gray_labels(n_qubits))
 
 
 def hyperlattice_qubit_hamiltonian(

@@ -273,7 +273,7 @@ def _walsh_hadamard(d: np.ndarray, m: int) -> None:
 
 
 def _check_bits(bits: str, name: str) -> str:
-    if not bits or set(bits) - {"0", "1"}:
+    if not isinstance(bits, str) or not bits or set(bits) - {"0", "1"}:
         raise ValueError(f"{name} must be a nonempty bit string of only '0' (down) and '1' (up)")
     return bits
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._config import check_qubit_count
 from .circuit import _GATES, Circuit, Gate, _format_num, _integers, _reals, _Table, gate_conventions
+from .decode import _real_array
 from .encode import encode_binary
 from .gatelib import (
     FundamentalPulse,
@@ -381,16 +382,15 @@ def to_fundamental(c: Circuit) -> Circuit:
 @dataclass(frozen=True)
 class PulseStrengths:
     """Available always-on term strengths: one eps and delta per wire, and a
-    symmetric vperp matrix for pairs. All needed entries must be positive."""
+    symmetric vperp matrix for pairs, all real and finite. All needed entries
+    must be positive."""
 
     eps: np.ndarray
     delta: np.ndarray
     vperp: np.ndarray
 
     def __post_init__(self) -> None:
-        eps = np.asarray(self.eps, dtype=float)
-        delta = np.asarray(self.delta, dtype=float)
-        vperp = np.asarray(self.vperp, dtype=float)
+        eps, delta, vperp = (_real_array(getattr(self, f), f) for f in ("eps", "delta", "vperp"))
         n = eps.size
         if eps.shape != (n,) or delta.shape != (n,) or vperp.shape != (n, n):
             raise ValueError("strength arrays have inconsistent shapes")
@@ -405,7 +405,7 @@ def uniform_strengths(n_wires: int, value: float = 1.0) -> PulseStrengths:
     """The same positive strength for every term on every wire and pair."""
     if n_wires < 1:
         raise ValueError("need at least one wire")
-    v = float(value)
+    (v,) = _reals((value,), "strength must be a real number")
     vperp = np.full((n_wires, n_wires), v)
     np.fill_diagonal(vperp, 0.0)
     return PulseStrengths(np.full(n_wires, v), np.full(n_wires, v), vperp)

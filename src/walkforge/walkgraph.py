@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._config import check_matrix_dimension
-from .circuit import _reals
+from .circuit import _integers, _reals
 
 __all__ = [
     "WalkGraph",
@@ -43,8 +44,10 @@ class WalkGraph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
+        (n_nodes,) = _integers((self.n_nodes,), "node count must be an integer")
+        if n_nodes < 1:
             raise ValueError("graph needs at least one node")
+        object.__setattr__(self, "n_nodes", n_nodes)
         if len(self.onsite) != self.n_nodes:
             raise ValueError("onsite energies must have one entry per node")
         message = "hop amplitudes and onsite energies must be real numbers"
@@ -100,12 +103,19 @@ class Hyperlattice:
     boundary: str = "open"
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
+        dimension, side = _integers((self.dimension, self.side), "dimension and side length must be integers")
+        if dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.side < 1:
+        if side < 1:
             raise ValueError("side length must be positive")
+        (delta0,) = _reals((self.delta0,), "delta0 must be a real number")
+        if not math.isfinite(delta0):
+            raise ValueError("delta0 must be finite")
         if self.boundary not in ("open", "periodic"):
             raise ValueError("boundary must be 'open' or 'periodic'")
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "delta0", delta0)
 
 
 def walk_matrix(g: WalkGraph) -> np.ndarray:
@@ -120,11 +130,16 @@ def walk_matrix(g: WalkGraph) -> np.ndarray:
     return h
 
 
-def _per_item(value, count: int, what: str) -> list[float]:
-    """A scalar repeated count times, or a sequence of exactly count numbers."""
-    if np.isscalar(value):
-        return [float(value)] * count
-    out = [float(v) for v in value]
+def _values(value, what: str, count: int = 1) -> tuple[float, ...]:
+    """The real numbers of a sequence or array, or one real number count times."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()  # Python floats take _reals' fast path
+    return _reals(value if isinstance(value, Iterable) else (value,) * count, f"{what} must be real numbers")
+
+
+def _per_item(value, count: int, what: str) -> tuple[float, ...]:
+    """A real number repeated count times, or exactly count of them."""
+    out = _values(value, what, count)
     if len(out) != count:
         raise ValueError(f"expected {count} {what}, got {len(out)}")
     return out
@@ -132,20 +147,22 @@ def _per_item(value, count: int, what: str) -> list[float]:
 
 def build_line(n: int, deltas=1.0, eps=None) -> WalkGraph:
     """Path graph on n nodes with per-edge amplitudes and per-node energies."""
+    (n,) = _integers((n,), "node count must be an integer")
     if n < 1:
         raise ValueError("line needs at least one node")
     ds = _per_item(deltas, n - 1, "edge amplitudes")
     edges = tuple((k, k + 1, ds[k]) for k in range(n - 1))
-    return WalkGraph(n, edges, tuple(_per_item(0.0 if eps is None else eps, n, "onsite energies")))
+    return WalkGraph(n, edges, _per_item(0.0 if eps is None else eps, n, "onsite energies"))
 
 
 def build_cycle(n: int, deltas=1.0, eps=None) -> WalkGraph:
     """Cycle graph on n >= 3 nodes; edge k joins nodes k and (k+1) mod n."""
+    (n,) = _integers((n,), "node count must be an integer")
     if n < 3:
         raise ValueError("cycle needs at least three nodes")
     ds = _per_item(deltas, n, "edge amplitudes")
     edges = tuple((k, (k + 1) % n, ds[k]) for k in range(n))
-    return WalkGraph(n, edges, tuple(_per_item(0.0 if eps is None else eps, n, "onsite energies")))
+    return WalkGraph(n, edges, _per_item(0.0 if eps is None else eps, n, "onsite energies"))
 
 
 def build_hypercube(m: int, delta0: float = 1.0) -> WalkGraph:
@@ -153,15 +170,17 @@ def build_hypercube(m: int, delta0: float = 1.0) -> WalkGraph:
 
     Nodes i and j are joined exactly when their labels differ in one bit.
     """
+    (m,) = _integers((m,), "hypercube dimension must be an integer")
     if m < 1:
         raise ValueError("hypercube dimension must be at least 1")
+    (delta0,) = _reals((delta0,), "delta0 must be a real number")
     n = 2**m
     edges = []
     for i in range(n):
         for b in range(m):
             j = i ^ (1 << b)
             if j > i:
-                edges.append((i, j, float(delta0)))
+                edges.append((i, j, delta0))
     labels = tuple(format(i, f"0{m}b") for i in range(n))
     return WalkGraph(n, tuple(edges), (0.0,) * n, labels)
 
@@ -172,7 +191,7 @@ def band_energy(h: Hyperlattice, p) -> float:
     The walk matrix of the periodic lattice has eigenvalues of the opposite
     sign, -band_energy(p), at p_mu = 2*pi*k/L; tests state this explicitly.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    p = np.array(_values(p, "momentum components"))
     if p.shape != (h.dimension,):
         raise ValueError(f"momentum must have {h.dimension} components")
     if np.any(np.abs(p) > np.pi + 1e-12):
@@ -189,14 +208,13 @@ def build_hyperlattice_graph(h: Hyperlattice) -> WalkGraph:
     """
     n = h.side**h.dimension
     strides = [h.side ** (h.dimension - 1 - ax) for ax in range(h.dimension)]
-    delta0 = float(h.delta0)
     edges = []
     for node in range(n):
         for stride in strides:
             if (node // stride) % h.side + 1 < h.side:
-                edges.append((node, node + stride, delta0))
+                edges.append((node, node + stride, h.delta0))
             elif h.boundary == "periodic" and h.side > 2:
-                edges.append((node - (h.side - 1) * stride, node, delta0))
+                edges.append((node - (h.side - 1) * stride, node, h.delta0))
     return WalkGraph(n, tuple(edges), (0.0,) * n)
 
 
@@ -264,7 +282,4 @@ def graph_from_json(text: str) -> WalkGraph:
     labels = doc.get("labels")
     if "labels" in doc and not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
         raise ValueError("graph json 'labels' must be a list of strings")
-    try:
-        return WalkGraph(n, tuple(map(tuple, edges)), tuple(onsite), None if labels is None else tuple(labels))
-    except OverflowError as exc:
-        raise ValueError(f"malformed graph json: {exc}") from None
+    return WalkGraph(n, tuple(map(tuple, edges)), tuple(onsite), None if labels is None else tuple(labels))

@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 import tracemalloc
+from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -615,14 +616,22 @@ def test_dense_gates_alone_are_not_fused():
         assert np.array_equal(unitary(c), want)
 
 
-class _CountedCodes(tuple):
-    """Codes that count how often they are indexed."""
+class _CountedCodes(Sequence):
+    """Codes that count every element read: one per index, one per element of
+    a slice, and one per element iterated (Sequence iterates by index). A
+    tuple subclass would be unpacked and iterated without any of these calls."""
 
-    reads = 0
+    def __init__(self, codes):
+        self._codes = tuple(codes)
+        self.reads = 0
+
+    def __len__(self):
+        return len(self._codes)
 
     def __getitem__(self, key):
-        type(self).reads += 1
-        return super().__getitem__(key)
+        got = self._codes[key]
+        self.reads += len(got) if isinstance(key, slice) else 1
+        return got
 
 
 @pytest.mark.parametrize("tail", [(), (Gate("RZ", (1,), (0.2,)), Gate("RX", (1,), (0.7,)))])
@@ -633,9 +642,8 @@ def test_planning_is_linear_in_the_codes(tail):
     dense = [Gate("RX", (1,), (0.1,)), Gate("RX", (2,), (0.2,)), Gate("XX", (1, 2), (0.3,))]
     c = Circuit(2, 0, tuple(dense * 1000) + tail)
     codes = _CountedCodes(c.codes)
-    _CountedCodes.reads = 0
     steps = _plan(c.table, codes)
-    assert _CountedCodes.reads <= 3 * len(codes)
+    assert 0 < codes.reads <= 3 * len(codes)
     assert _plan(c.table, c.codes) == steps
     # with a monomial gate at the end, one run takes the whole stretch
     assert steps == ([(c.codes, (1, 2))] if tail else list(c.codes))
@@ -892,6 +900,12 @@ def test_gate_refuses_parameters_that_are_not_real_numbers(param):
     coerced with float()."""
     with pytest.raises(ValueError, match="gate parameters must be real numbers"):
         Gate("RX", (1,), (param,))
+
+
+def test_gate_refuses_an_integer_parameter_beyond_the_float_range():
+    """An int too large for a float is refused with ValueError, not OverflowError."""
+    with pytest.raises(ValueError, match="gate parameters must be real numbers within the float range"):
+        Gate("RX", (1,), (10**400,))
 
 
 def test_gate_takes_integer_and_numpy_real_parameters():

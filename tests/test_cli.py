@@ -14,17 +14,23 @@ import pytest
 
 import walkforge
 from walkforge import (
-    EncodingSpec,
+    Hyperlattice,
     TrotterPlan,
+    WalkGraph,
+    XYChain,
+    build_hyperlattice_graph,
     circuit_from_text,
     circuit_to_text,
+    collapse_to_line,
     encode_binary,
     encode_single_excitation,
+    excitation_graph,
     gate_conventions,
     graph_from_json,
     graph_to_json,
     gray_labels,
     hamiltonian_to_text,
+    to_matrix,
     trotterize,
     unitary,
     walk_matrix,
@@ -78,7 +84,7 @@ def test_encode_gray_matches_library(tmp_path, capsys):
     )
     assert code == 0
     g = graph_from_json(path.read_text())
-    want = encode_binary(g, EncodingSpec("binary", gray_labels(3)))
+    want = encode_binary(g, gray_labels(3))
     assert out == hamiltonian_to_text(want)
 
 
@@ -818,3 +824,86 @@ def test_decode_static_reads_integers_past_int64_as_floats(tmp_path, capsys):
     spath.write_text(json.dumps(_STATIC_OK | {"eps": [10**400]}))
     code, out, err = _run(["decode", "--static", str(spath)], capsys)
     assert code == 2 and out == "" and "eps holds a number beyond the float range" in err
+
+
+def test_graph_build_hyperlattice_is_the_library_graph(capsys):
+    """graph build --kind hyperlattice prints the JSON of build_hyperlattice_graph."""
+    code, out, _ = _run(
+        ["graph", "build", "--kind", "hyperlattice", "--d", "2", "--side", "3", "--delta", "0.75",
+         "--boundary", "periodic"],
+        capsys,
+    )
+    assert code == 0
+    assert out == graph_to_json(build_hyperlattice_graph(Hyperlattice(2, 3, 0.75, "periodic"))) + "\n"
+
+
+_CHAIN = ["chain", "xy", "--n", "5", "--j", "1", "0.5", "0.7", "1.25", "--h", "0.3", "--sector", "2"]
+
+
+def test_chain_sector_without_collapse_is_the_excitation_graph(capsys):
+    code, out, _ = _run(_CHAIN, capsys)
+    assert code == 0
+    assert out == graph_to_json(excitation_graph(XYChain(5, (1.0, 0.5, 0.7, 1.25), 0.3), 2)) + "\n"
+
+
+def test_chain_collapse_writes_the_sector_and_the_collapsed_line(tmp_path, capsys):
+    """--out holds the sector graph and --collapsed-out its collapse to a line,
+    each the JSON of the library call, beside the printed report."""
+    sector, line = tmp_path / "sector.json", tmp_path / "line.json"
+    code, out, _ = _run(
+        [*_CHAIN, "--collapse", "--start", "1", "--out", str(sector), "--collapsed-out", str(line)], capsys
+    )
+    assert code == 0
+    g = excitation_graph(XYChain(5, (1.0, 0.5, 0.7, 1.25), 0.3), 2)
+    assert sector.read_text() == graph_to_json(g) + "\n"
+    assert line.read_text() == graph_to_json(collapse_to_line(g, 1)) + "\n"
+    assert out.startswith(f"sector nodes = {g.n_nodes}\n") and "collapse defect = " in out
+
+
+def _encode_deviation(g: WalkGraph, scheme: str) -> float:
+    """Largest entry by which the encoding departs from the walk matrix at the
+    node states, or from zero on the rows of unlabeled states."""
+    if scheme == "single":
+        mat = to_matrix(encode_single_excitation(g))
+        idx = [1 << (g.n_nodes - 1 - j) for j in range(g.n_nodes)]
+    else:
+        mat = to_matrix(encode_binary(g))
+        idx = [int(s, 2) for s in g.labels] if g.labels else list(range(g.n_nodes))
+    rest = np.delete(mat, idx, axis=0)
+    dev = float(np.max(np.abs(mat[np.ix_(idx, idx)] - walk_matrix(g))))
+    return max(dev, float(np.max(np.abs(rest)))) if scheme == "binary" and rest.size else dev
+
+
+@pytest.mark.parametrize("scheme", ["single", "binary"])
+@pytest.mark.parametrize(
+    "graph",
+    [
+        WalkGraph(5, ((0, 1, 0.7), (1, 2, -1.3), (0, 4, 0.25), (2, 3, 1.1)), (0.3, -0.2, 0.0, 0.9, 0.1)),
+        WalkGraph(3, ((0, 1, 0.6), (1, 2, 0.6)), (0.1, 0.2, 0.3), ("101", "010", "111")),
+    ],
+    ids=["unlabeled", "labeled"],
+)
+def test_verify_encode_of_a_graph_file(tmp_path, capsys, scheme, graph):
+    """verify --kind encode --graph reports the deviation the library encoding
+    has from the walk matrix, to the last digit."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(graph_to_json(graph))
+    code, out, _ = _run(["verify", "--kind", "encode", "--graph", str(gpath), "--scheme", scheme], capsys)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == f"kind = encode {scheme}" and lines[-1] == "PASS"
+    assert float(lines[1].removeprefix("max deviation = ")) == _encode_deviation(graph, scheme)
+
+
+def test_verify_encode_needs_a_graph_or_random(capsys):
+    code, out, err = _run(["verify", "--kind", "encode"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: verify --kind encode needs --graph or --random\n"
+
+
+def test_graph_file_with_a_hop_beyond_the_float_range_exits_two(tmp_path, capsys):
+    """A 400-digit integer hop is refused as bad input, not an OverflowError."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"n": 2, "onsite": [0, 0], "edges": [[0, 1, 1%s]]}' % ("0" * 400))
+    code, out, err = _run(["encode", str(gpath), "--scheme", "binary"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: hop amplitudes and onsite energies must be real numbers within the float range\n"

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from walkforge import (
-    EncodingSpec,
     Hyperlattice,
     PauliString,
     WalkGraph,
@@ -116,27 +115,27 @@ def _trace_coefficients(e: np.ndarray, m: int) -> dict[str, complex]:
     return out
 
 
-def _label_sets(n: int, m: int) -> list[tuple[tuple[str, ...], EncodingSpec | None]]:
-    """Index labels (no spec), random sparse m-bit labels, and Gray labels when n = 2^m."""
+def _label_sets(n: int, m: int) -> list[tuple[tuple[str, ...], tuple[str, ...] | None]]:
+    """Index labels (none given), random sparse m-bit labels, and Gray labels when n = 2^m."""
     width = max(1, (n - 1).bit_length())
     sparse = tuple(format(int(k), f"0{m}b") for k in rng.choice(2**m, size=n, replace=False))
-    sets = [(tuple(format(j, f"0{width}b") for j in range(n)), None), (sparse, EncodingSpec("binary", sparse))]
+    sets = [(tuple(format(j, f"0{width}b") for j in range(n)), None), (sparse, sparse)]
     if n == 2**m:
-        sets.append((gray_labels(m), EncodingSpec("binary", gray_labels(m))))
+        sets.append((gray_labels(m), gray_labels(m)))
     return sets
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (6, 4), (11, 4), (16, 4)])
 def test_encode_binary_matches_trace_oracle(n, m):
     """Every coefficient is tr(P E) / 2^m of the walk matrix E embedded at the labels."""
-    for labels, spec in _label_sets(n, m):
+    for labels, given in _label_sets(n, m):
         g = _random_graph(n)
         w = len(labels[0])
         idx = [int(s, 2) for s in labels]
         e = np.zeros((2**w, 2**w))
         e[np.ix_(idx, idx)] = walk_matrix(g)
         want = {k: c for k, c in _trace_coefficients(e, w).items() if abs(c) > 1e-14}
-        got = {s.letters: c for c, s in encode_binary(g, spec).terms}
+        got = {s.letters: c for c, s in encode_binary(g, given).terms}
         assert set(got) == set(want)
         tol = 1e-15 * max(1.0, float(np.max(np.abs(e))))
         assert max(abs(got[k] - want[k]) for k in want) <= tol
@@ -165,8 +164,7 @@ def test_encode_binary_embeds_walk_matrix():
 def test_encode_binary_respects_explicit_labels():
     """A custom labeling moves nodes to the requested basis indices."""
     g = WalkGraph(2, ((0, 1, 1.0),), (0.3, -0.4))
-    spec = EncodingSpec("binary", labels=("10", "01"))
-    dense = to_matrix(encode_binary(g, spec))
+    dense = to_matrix(encode_binary(g, ("10", "01")))
     np.testing.assert_allclose(dense[np.ix_([2, 1], [2, 1])], walk_matrix(g), atol=1e-12)
     np.testing.assert_allclose(dense[0, 0], 0.0, atol=1e-12)
 
@@ -186,7 +184,7 @@ def test_index_labels_are_the_binary_expansions():
 def test_encode_binary_of_an_unlabeled_graph_uses_the_index_labels(graph):
     """Node j of an unlabeled graph sits at basis state j, as with explicit index labels."""
     labels = _index_labels(graph.n_nodes)
-    want = encode_binary(graph, EncodingSpec("binary", labels))
+    want = encode_binary(graph, labels)
     assert encode_binary(graph) == want
     assert encode_binary(WalkGraph(graph.n_nodes, graph.edges, graph.onsite, labels)) == want
 
@@ -195,7 +193,7 @@ def test_encode_binary_rejects_duplicate_labels():
     """Two nodes cannot share a bit string."""
     g = WalkGraph(2, ((0, 1, 1.0),), (0.0, 0.0))
     with pytest.raises(ValueError, match="duplicate labels"):
-        encode_binary(g, EncodingSpec("binary", labels=("1", "1")))
+        encode_binary(g, ("1", "1"))
 
 
 def test_encode_binary_rejects_an_empty_label():
@@ -205,17 +203,27 @@ def test_encode_binary_rejects_an_empty_label():
         encode_binary(g)
 
 
+@pytest.mark.parametrize("labels", [(10, 11), (b"0", b"1"), ("0", 1)])
+def test_encode_binary_refuses_labels_that_are_not_strings(labels):
+    """A label is a bit string as given; nothing is read through str()."""
+    g = WalkGraph(2, ((0, 1, 1.0),), (0.0, 0.0))
+    with pytest.raises(ValueError, match="label must be a nonempty bit string"):
+        encode_binary(g, labels)
+    with pytest.raises(ValueError, match="input must be a nonempty bit string"):
+        line_position(labels[1])
+
+
 def test_encode_binary_rejects_wrong_label_count():
     """Every node needs exactly one label."""
     g = WalkGraph(3, (), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="one label per node"):
-        encode_binary(g, EncodingSpec("binary", labels=("00", "01")))
+        encode_binary(g, ("00", "01"))
 
 
-def test_encoding_spec_rejects_unknown_scheme():
-    """Only the two documented schemes exist."""
-    with pytest.raises(ValueError, match="unknown encoding scheme"):
-        EncodingSpec("ternary")
+@pytest.mark.parametrize("n_qubits", [2.0, True, "2"])
+def test_gray_labels_refuse_a_qubit_count_that_is_not_an_integer(n_qubits):
+    with pytest.raises(ValueError, match="qubit count must be an integer"):
+        gray_labels(n_qubits)
 
 
 def test_gray_labels_adjacent_strings_differ_one_bit():

@@ -351,6 +351,12 @@ def test_pulse_refuses_fields_that_are_not_real_numbers(strength, duration):
         FundamentalPulse("eps", (1,), strength, duration)
 
 
+@pytest.mark.parametrize("strength, duration", [(10**400, 0.1), (0.5, -(10**400))])
+def test_pulse_refuses_integer_fields_beyond_the_float_range(strength, duration):
+    with pytest.raises(ValueError, match="pulse strength and duration must be real numbers within the float range"):
+        FundamentalPulse("eps", (1,), strength, duration)
+
+
 def test_pulse_takes_integer_and_numpy_real_fields():
     p = FundamentalPulse("eps", (1,), np.float64(0.5), 2)
     assert (p.strength, p.duration) == (0.5, 2)

@@ -8,7 +8,7 @@ import walkforge
 MODULES = ("circuit", "decode", "encode", "gatelib", "pauli", "sim", "spinchain", "synth", "walkgraph")
 
 PUBLIC = {
-    "Circuit", "EncodingSpec", "FundamentalPulse", "Gate", "Hyperlattice", "JordanWignerResult",
+    "Circuit", "FundamentalPulse", "Gate", "Hyperlattice", "JordanWignerResult",
     "PauliHamiltonian", "PauliString", "PulseStrengths", "Schedule",
     "StateVector", "StaticQubitHamiltonian", "TrotterPlan", "WalkGraph", "XYChain",
     "ancilla_ground_block", "apply", "band_energy", "basis_state", "build_cycle",
@@ -32,7 +32,7 @@ PUBLIC = {
 def test_package_exports_the_public_names():
     """__all__ holds exactly the documented names, sorted, without repeats."""
     assert set(walkforge.__all__) == PUBLIC
-    assert len(PUBLIC) == 78
+    assert len(PUBLIC) == 77
     assert walkforge.__all__ == sorted(PUBLIC)
 
 

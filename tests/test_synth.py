@@ -9,11 +9,11 @@ import pytest
 
 from walkforge import (
     Circuit,
-    EncodingSpec,
     FundamentalPulse,
     Gate,
     PauliHamiltonian,
     PauliString,
+    PulseStrengths,
     Schedule,
     TrotterPlan,
     ancilla_ground_block,
@@ -376,7 +376,7 @@ def test_cycle_walk_step_converges_to_ring():
     """The cycle variant converges to the 8-node ring propagator."""
     labels = gray_labels(3)
     g = build_cycle(8)
-    h = to_matrix(encode_binary(g, EncodingSpec("binary", labels=labels)))
+    h = to_matrix(encode_binary(g, labels))
     exact = exact_propagator(h, 1.0)
     n_steps = 64
     c = synth_line_walk_step(3, 1.0 / n_steps, cycle=True)
@@ -491,6 +491,49 @@ def test_pulse_z_rotation_duration():
 
 
 @pytest.mark.parametrize(
+    "fields, match",
+    [
+        ((["1"], ["1"], [["0"]]), "eps must hold real numbers"),
+        (([True], [1.0], [[0.0]]), "eps must hold real numbers"),
+        (([1.0], [1.0, False], [[0.0]]), "delta must hold real numbers"),
+        (([1.0], [1.0], [[1j]]), "vperp must hold real numbers"),
+        (([math.nan], [1.0], [[0.0]]), "eps must be finite"),
+        (([1.0], [math.inf], [[0.0]]), "delta must be finite"),
+        (([1.0, 1.0], [1.0, 1.0], [[0.0, math.nan], [math.nan, 0.0]]), "vperp must be finite"),
+        (([1.0], [1.0], [[10**400]]), "vperp holds a number beyond the float range"),
+    ],
+)
+def test_pulse_strengths_refuse_what_is_not_a_finite_real(fields, match):
+    """Strings, booleans and complex values are refused, not coerced, and so
+    are non-finite strengths; a NaN pair is no longer read as symmetric."""
+    with pytest.raises(ValueError, match=match):
+        PulseStrengths(*fields)
+
+
+def test_pulse_strengths_take_numpy_float_arrays_and_integer_lists():
+    eps, delta, vperp = np.array([0.5, 2.0]), np.array([1.0, 1.5]), np.array([[0.0, 0.75], [0.75, 0.0]])
+    s = PulseStrengths(eps, delta, vperp)
+    assert all(np.array_equal(a, b) and a.dtype == float for a, b in ((s.eps, eps), (s.delta, delta), (s.vperp, vperp)))
+    s = PulseStrengths([1, 2], [3, 4], [[0, 1], [1, 0]])
+    assert s.eps.dtype == float and s.vperp.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "value, match",
+    [
+        ("1.5", "strength must be a real number"),
+        (True, "strength must be a real number"),
+        (math.nan, "eps must be finite"),
+        (10**400, "strength must be a real number within the float range"),
+    ],
+    ids=["string", "boolean", "nan", "huge-int"],
+)
+def test_uniform_strengths_refuse_what_is_not_a_finite_real(value, match):
+    with pytest.raises(ValueError, match=match):
+        uniform_strengths(2, value)
+
+
+@pytest.mark.parametrize(
     "kind, angle", [("RX", 7.0), ("RZ", -7.0), ("XX", -7.0), ("RX", 40.0), ("RZ", 1e6)]
 )
 def test_pulse_angles_reduce_modulo_two_pi(kind, angle):
@@ -586,6 +629,20 @@ def test_pulse_csv_rejects_bad_header():
     """The header row is mandatory."""
     with pytest.raises(ValueError, match="header"):
         pulses_from_csv("kind,qubits,strength,duration\n")
+
+
+def test_pulse_csv_skips_blank_rows():
+    """A blank line between pulses is no pulse: the schedule is the one without it."""
+    rows = ["eps,1,0.5,0.25", "vperp,1 2,1,0.125"]
+    want = (FundamentalPulse("eps", (1,), 0.5, 0.25), FundamentalPulse("vperp", (1, 2), 1.0, 0.125))
+    head = "term,qubits,strength,duration\n"
+    assert pulses_from_csv(head + "\n".join(rows) + "\n") == want
+    assert pulses_from_csv(head + "\n" + rows[0] + "\n\n" + rows[1] + "\n\n") == want
+
+
+def test_pulse_csv_refuses_a_three_field_row():
+    with pytest.raises(ValueError, match="pulse rows need exactly four fields"):
+        pulses_from_csv("term,qubits,strength,duration\neps,1,0.5\n")
 
 
 @pytest.mark.parametrize(

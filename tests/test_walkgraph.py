@@ -347,3 +347,67 @@ def test_walkgraph_takes_integer_and_numpy_real_values():
     g = WalkGraph(2, ((0, 1, 2),), (np.float64(0.5), np.int64(1)))
     assert g.edges == ((0, 1, 2.0),) and g.onsite == (0.5, 1.0)
     assert all(type(v) is float for v in (g.edges[0][2], *g.onsite))
+
+
+def test_walkgraph_refuses_a_hop_beyond_the_float_range():
+    """An integer hop too large for a float is refused, not an OverflowError."""
+    with pytest.raises(ValueError, match="must be real numbers within the float range"):
+        WalkGraph(2, ((0, 1, 10**400),), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("n", [True, "2", 2.0, None])
+def test_walkgraph_refuses_a_node_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        WalkGraph(n, (), (0.0, 0.0))
+
+
+def test_walkgraph_stores_a_numpy_node_count_as_an_int():
+    g = WalkGraph(np.int64(2), (), (0.0, 0.0))
+    assert type(g.n_nodes) is int and g.n_nodes == 2
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: build_line(3, deltas="12"), "edge amplitudes must be real numbers"),
+        (lambda: build_line(3, deltas=True), "edge amplitudes must be real numbers"),
+        (lambda: build_line(3, deltas=[1.0, np.bool_(True)]), "edge amplitudes must be real numbers"),
+        (lambda: build_line(3, deltas=np.array([[1.0], [2.0]])), "edge amplitudes must be real numbers"),
+        (lambda: build_line(2.0), "node count must be an integer"),
+        (lambda: build_cycle(3, eps="0.5"), "onsite energies must be real numbers"),
+        (lambda: build_cycle(True), "node count must be an integer"),
+        (lambda: build_hypercube(2, "1.5"), "delta0 must be a real number"),
+        (lambda: build_hypercube(2.0), "hypercube dimension must be an integer"),
+        (lambda: Hyperlattice(1, 3, delta0="1.5"), "delta0 must be a real number"),
+        (lambda: Hyperlattice(1, 3, delta0=math.nan), "delta0 must be finite"),
+        (lambda: Hyperlattice(2.5, 3), "dimension and side length must be integers"),
+        (lambda: Hyperlattice(True, 3), "dimension and side length must be integers"),
+        (lambda: Hyperlattice(2, "3"), "dimension and side length must be integers"),
+        (lambda: band_energy(Hyperlattice(1, 3), ["0.5"]), "momentum components must be real numbers"),
+        (lambda: band_energy(Hyperlattice(1, 3), "0.5"), "momentum components must be real numbers"),
+    ],
+    ids=[
+        "line-str-deltas", "line-bool-deltas", "line-numpy-bool-delta", "line-2d-deltas", "line-float-n",
+        "cycle-str-eps", "cycle-bool-n", "hypercube-str-delta0", "hypercube-float-m", "lattice-str-delta0",
+        "lattice-nan-delta0", "lattice-float-dimension", "lattice-bool-dimension", "lattice-str-side",
+        "band-str-list", "band-str",
+    ],
+)
+def test_builders_refuse_what_they_used_to_coerce(build, match):
+    """Counts must be integers and amplitudes real numbers: strings, booleans
+    and floats where a count belongs are refused with ValueError, not read."""
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_builders_take_numpy_numbers_and_arrays():
+    """NumPy scalars and arrays are read as the numbers they hold."""
+    deltas = np.array([0.5, -1.25, 2.0])
+    assert build_cycle(np.int64(3), deltas=deltas, eps=np.float64(0.1)) == build_cycle(3, [0.5, -1.25, 2.0], 0.1)
+    assert build_line(2, np.array(0.5)) == build_line(2, 0.5)
+    assert build_line(3, deltas=np.array([1, 2])).edges == ((0, 1, 1.0), (1, 2, 2.0))
+    lat = Hyperlattice(np.int64(2), np.int64(3), np.float64(0.75))
+    assert (type(lat.dimension), type(lat.side), type(lat.delta0)) == (int, int, float)
+    assert band_energy(lat, np.array([0.5, 1.0])) == band_energy(lat, [0.5, 1.0])
+    assert band_energy(Hyperlattice(1, 3), np.float64(0.5)) == band_energy(Hyperlattice(1, 3), [0.5])
+    assert build_hypercube(np.int64(2), np.int64(1)) == build_hypercube(2, 1.0)
