@@ -13,23 +13,26 @@ no wire, used to keep decompositions exactly equal to their targets).
 unitary and apply share one evaluator. Gates whose matrix has one nonzero per
 column (the permutations X, CNOT, SWAP, TOFFOLI, MCX and the phases RZ,
 APHASE, CPHASE, CRK, GPHASE, found by inspecting the gate table) only relabel
-and phase basis states: a run of them composes into one index map, applied to
-the amplitudes as a single gather, so permutation circuits stay exactly 0/1.
-Every other gate acts on one or two wires, as one strided matmul or one 4 x 4
-GEMM over a transposed view, or is a multi-control, which acts by its 2 x 2
-target block on the indices whose controls match, never as its
-2^(m+1)-square matrix. One forward pass cuts the gates into runs on at most
-two wires, each ended by a gate on a third wire or by a Toffoli or
-multi-control, which stands alone. A run that holds at least three dense
-gates and a monomial one (a lowered CNOT or SWAP, say) is fused: its 2 x 2
-or 4 x 4 product is built once and applied in one pass over the block
-instead of one pass per gate.
+and phase basis states: a run of them composes into one source map, out[j] =
+phase[j] * psi[src[j]], applied to the amplitudes as a single gather, so
+permutation circuits stay exactly 0/1. A gate on one or two wires gets its map
+from the dense kernel, its 0/1 pattern applied to the basis indices; a
+Toffoli is the multi-control with both controls up, and it and MCX flip the
+target bit of the indices whose controls match. Every other gate acts on one
+or two wires, as one strided matmul or one 4 x 4 GEMM over a transposed view,
+or is an MCRX, which acts by its 2 x 2 target block on the indices whose
+controls match, never as its 2^(m+1)-square matrix. One forward pass cuts the
+gates into runs on at most two wires, each ended by a gate on a third wire or
+by a Toffoli or multi-control, which stands alone. A run that holds at least
+three dense gates and a monomial one (a lowered CNOT or SWAP, say) is fused:
+its 2 x 2 or 4 x 4 product is built once and applied in one pass over the
+block instead of one pass per gate.
 
 A circuit holds each distinct gate once, in a table in first-use order, and
 one integer code per occurrence. Synthesized circuits repeat a few gates many
 times (a Trotter circuit is N copies of one step), so every per-gate job is
 done once per table entry and then mapped over the codes: validation, the
-evaluator's matrices and index maps, and the text format. The repeated block
+evaluator's matrices and source maps, and the text format. The repeated block
 that unitary raises to a power is a period of the codes; the power is taken
 when the block's dense gates, repeated, cost more than the squarings. A run of
 monomial gates is one gather and is priced at nothing, so a block of them
@@ -214,6 +217,7 @@ class Circuit:
         return c
 
     def _fill(self, n_qubits: int, n_ancillas: int, table, codes) -> None:
+        n_qubits, n_ancillas = _integers((n_qubits, n_ancillas), "wire counts must be integers")
         w = n_qubits + n_ancillas
         if n_qubits < 0 or n_ancillas < 0:
             raise ValueError("wire counts must be nonnegative")
@@ -320,7 +324,7 @@ def _is_monomial(mat) -> bool:
 
 
 # Kinds that only relabel basis states and phase them: _run composes these
-# as index maps instead of multiplying matrices. A multi-control gate is
+# as source maps instead of multiplying matrices. A multi-control gate is
 # monomial exactly when its target block is.
 _MONOMIAL = frozenset(kind for kind, (_, _, mat) in _GATES.items() if _is_monomial(mat))
 
@@ -353,27 +357,21 @@ def _gate_matrix(g: Gate) -> np.ndarray:
 
 
 def _index_map(qubits: tuple[int, ...], mat: np.ndarray, w: int):
-    """(dest, phase): the monomial matrix on qubits sends basis index j of a w-wire
-    register to dest[j] with factor phase[j]; phase is None when every factor is 1."""
-    dest = np.arange(1 << w)
-    cols = np.arange(len(mat))
-    rows = (mat != 0).argmax(0)  # each column's one nonzero
-    local = np.zeros_like(dest)  # the gate's matrix index of each basis index
-    flips = np.zeros_like(cols)  # per matrix column, the basis-index bits it flips
-    for i, q in enumerate(qubits):
-        local = (local << 1) | ((dest >> (w - q)) & 1)
-        flips |= (((cols ^ rows) >> (len(qubits) - 1 - i)) & 1) << (w - q)
-    values = mat[rows, cols]
-    return dest ^ flips[local], (values[local] if (values != 1).any() else None)
+    """(src, phase): the monomial matrix on one wire, or two in increasing
+    order, maps the amplitudes psi of a w-wire register to out[j] = phase[j] *
+    psi[src[j]]; phase is None when every factor is 1. Both come from _dense:
+    the matrix's 0/1 pattern applied to the column of basis indices, and the
+    matrix applied to a column of ones, exact since each row has one nonzero."""
+    src = _dense(np.arange(1 << w, dtype=float)[:, None], qubits, (mat != 0).astype(float))
+    phase = None if (mat[mat != 0] == 1).all() else _dense(np.ones((1 << w, 1)), qubits, mat)[:, 0]
+    return src[:, 0].astype(np.intp), phase
 
 
-def _gather(psi: np.ndarray, dest: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
-    """out[dest[j]] = phase[j] * psi[j] for every row j, as one gather."""
-    src = np.empty_like(dest)
-    src[dest] = np.arange(len(dest))
+def _gather(psi: np.ndarray, src: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
+    """out[j] = phase[j] * psi[src[j]] for every row j, as one gather."""
     out = np.take(psi, src, axis=0)
     if phase is not None:
-        out *= np.take(phase, src)[:, None]
+        out *= phase[:, None]
     return out
 
 
@@ -406,26 +404,29 @@ def _dense(psi: np.ndarray, qubits: tuple[int, ...], mat: np.ndarray) -> np.ndar
 
 def _prepare(g: Gate, mat: np.ndarray, w: int):
     """What _run needs of one gate with matrix mat (see _gate_matrix) on w wires:
-    a monomial gate's map (dest, phase) (see _index_map), any other gate a
-    function that applies it to a block.
+    a monomial gate's source map (src, phase) (see _index_map), any other gate
+    a function that applies it to a block. GPHASE keeps every index in place
+    and scales it by its one scalar.
 
-    A multi-control acts on the basis indices whose controls match. MCX, the
-    one monomial multi-control, flips the target bit of those indices; MCRX
-    is its target block on the sub-register they form: in increasing order,
-    they run over the other wires' bits with the target in its place among
-    them.
+    A multi-control, and a Toffoli as the multi-control with both controls up,
+    acts on the basis indices whose controls match. MCX and the Toffoli flip
+    the target bit of those indices; MCRX is its target block on the
+    sub-register they form: in increasing order, they run over the other
+    wires' bits with the target in its place among them.
     """
-    if _GATES[g.kind][0] is not None:
-        if g.kind in _MONOMIAL:
-            return _index_map(g.qubits, mat, w)
+    if not g.qubits:
+        return np.arange(1 << w), (None if mat[0, 0] == 1 else np.full(1 << w, mat[0, 0]))
+    if g.kind not in _WIDE:
         qubits, mat = _ascending(g.qubits, mat)
+        if g.kind in _MONOMIAL:
+            return _index_map(qubits, mat, w)
         return lambda psi: _dense(psi, qubits, mat)
     controls, target = g.qubits[:-1], g.qubits[-1]
     mask = sum(1 << (w - q) for q in controls)
-    want = sum(pol << (w - q) for q, pol in zip(controls, g.polarities))
+    want = sum(pol << (w - q) for q, pol in zip(controls, g.polarities or (1, 1)))
     idx = np.arange(1 << w)
     on = idx[(idx & mask) == want]
-    if g.kind == "MCX":
+    if g.kind in _MONOMIAL:
         idx[on] ^= 1 << (w - target)
         return idx, None
     local = (target - sum(q < target for q in controls),)
@@ -463,7 +464,7 @@ def _plan(table, codes) -> list:
     where the next gate's wires would bring it to a third wire. GPHASE, on no
     wire, fits anywhere; a gate of _WIDE never fits and stands alone. A run is
     fused when it holds at least three dense gates (one 4 x 4 pass costs about
-    two to three one-wire passes) and a monomial gate, whose index map and
+    two to three one-wire passes) and a monomial gate, whose source map and
     gather fusing saves; otherwise its codes are applied one by one.
     """
     dense = [g.kind not in _MONOMIAL for g in table] + [False]
@@ -489,52 +490,47 @@ def _run(c: Circuit, block: np.ndarray, codes=None) -> np.ndarray:
     """Apply the circuit's gates (or those of codes, default c.codes) to a
     (2^w, batch) amplitude block, by the steps of _plan.
 
-    Each distinct gate's matrix is built once, on first use (_gate_matrix). A
-    gate applied alone is prepared on its first code (_prepare): a dense
-    gate's kernel, a monomial gate's map of all 2^w basis indices. Monomial
-    gates then extend one pending map j -> (dest[j], phase[j]) by two gathers
-    each; the block is gathered through the map once per run of them, before
-    the next dense gate or fused run and at the end. A fused run's matrix is
-    built once per distinct run of codes.
+    Each distinct gate's matrix is built once, on first use (_gate_matrix),
+    and each distinct step is prepared once, on first use: a gate applied
+    alone by _prepare, a fused run as the kernel of its product. Monomial
+    gates extend one pending source map by a gather each, src = src[perm]
+    and phase = phase[perm] * factor; the block is gathered through it
+    (_gather) once per run of them, before the next kernel and at the end.
     """
     w, table = c.n_wires, c.table
-    steps = _plan(table, c.codes if codes is None else codes)
     mats = [None] * len(table)
-    prepared = [None] * len(table)
-    fused: dict[tuple[int, ...], np.ndarray] = {}
+    prepared: dict = {}
 
     def matrix(k: int) -> np.ndarray:
         if mats[k] is None:
             mats[k] = _gate_matrix(table[k])
         return mats[k]
 
+    def prepare(step):
+        if not isinstance(step, tuple):
+            return _prepare(table[step], matrix(step), w)
+        run, wires = step
+        mat = _fused([table[k] for k in run], [matrix(k) for k in run], wires)
+        return lambda psi: _dense(psi, wires, mat)
+
     psi = block
-    dest = phase = None
-    for step in steps:
-        if isinstance(step, tuple):
-            if dest is not None:
-                psi, dest = _gather(psi, dest, phase), None
-            run, wires = step
-            mat = fused.get(run)
-            if mat is None:
-                mat = fused[run] = _fused([table[k] for k in run], [matrix(k) for k in run], wires)
-            psi = _dense(psi, wires, mat)
-            continue
-        prep = prepared[step]
+    src = phase = None
+    for step in _plan(table, c.codes if codes is None else codes):
+        prep = prepared.get(step)
         if prep is None:
-            prep = prepared[step] = _prepare(table[step], matrix(step), w)
+            prep = prepared[step] = prepare(step)
         if callable(prep):
-            if dest is not None:
-                psi, dest = _gather(psi, dest, phase), None
+            if src is not None:
+                psi, src = _gather(psi, src, phase), None
             psi = prep(psi)
-        elif dest is None:
-            dest, phase = prep
+        elif src is None:
+            src, phase = prep
         else:
             perm, factor = prep
+            src, phase = src[perm], None if phase is None else phase[perm]
             if factor is not None:
-                phase = factor[dest] if phase is None else phase * factor[dest]
-            dest = perm[dest]
-    return psi if dest is None else _gather(psi, dest, phase)
+                phase = factor if phase is None else phase * factor
+    return psi if src is None else _gather(psi, src, phase)
 
 
 def _period(codes: tuple[int, ...]) -> int:

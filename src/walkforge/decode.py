@@ -169,6 +169,7 @@ def pulse_to_walk_edges(pulse: FundamentalPulse, n_qubits: int) -> WalkGraph:
     pulse's one coupling on, so a delta or vperp pulse hops with amplitude
     strength. A pulse's eps term is +strength Z and the template's -eps Z, so
     an eps pulse sets eps_k = -strength."""
+    (n_qubits,) = _integers((n_qubits,), "qubit count must be an integer")
     if max(pulse.qubits) > n_qubits:
         raise ValueError("pulse wires exceed the register")
     n, k = n_qubits, tuple(q - 1 for q in pulse.qubits)

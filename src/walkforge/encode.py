@@ -9,13 +9,13 @@ embedded subspace; that equality is the contract every test checks.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from .circuit import _integers
 from .pauli import PauliHamiltonian, PauliString, _check_bits, _from_masks, _symmetric_decomposition
-from .walkgraph import WalkGraph, build_line
+from .walkgraph import WalkGraph, _per_item, build_line
 
 __all__ = [
     "encode_single_excitation",
@@ -123,24 +123,25 @@ def line_position(x: str) -> int:
 
 
 def _per_axis(value, count: int, length: int, what: str) -> list[np.ndarray]:
-    """Broadcast scalars/sequences/nested sequences to one array per axis."""
-    if value is None:
-        return [np.zeros(length) for _ in range(count)]
-    if np.isscalar(value):
-        return [np.full(length, float(value)) for _ in range(count)]
-    arr = [np.asarray(v, dtype=float) for v in value]
-    if all(a.ndim == 0 for a in arr):
-        if len(arr) == count == length > 1:
-            raise ValueError(
-                f"{what} of {count} numbers reads both as one value per axis and as "
-                f"{length} values along every axis; give one list per axis"
-            )
-        arr = [np.full(length, float(a)) for a in arr]
-    if len(arr) == count and all(a.shape == (length,) for a in arr):
-        return arr
-    flat = np.asarray(value, dtype=float)
-    if flat.shape == (length,):
-        return [flat.copy() for _ in range(count)]
+    """One array of length real numbers per axis, from None (zeros), one number
+    for every entry, one entry per axis (a number, or length numbers) or one
+    flat list of length numbers for every axis; each entry is read as the
+    graph builders read theirs (walkgraph._per_item)."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if value is None or isinstance(value, str) or not isinstance(value, Iterable):
+        return [np.array(_per_item(0.0 if value is None else value, length, what)) for _ in range(count)]
+    value = list(value)
+    flat = not any(isinstance(v, Iterable) for v in value)
+    if flat and len(value) == count == length > 1:
+        raise ValueError(
+            f"{what} of {count} numbers reads both as one value per axis and as "
+            f"{length} values along every axis; give one list per axis"
+        )
+    if len(value) == count and (flat or all(isinstance(v, Iterable) for v in value)):
+        return [np.array(_per_item(v, length, what)) for v in value]
+    if flat and len(value) == length:
+        return [np.array(_per_item(value, length, what)) for _ in range(count)]
     raise ValueError(f"{what} must broadcast to {count} axes of length {length}")
 
 
@@ -150,6 +151,7 @@ def line_qubit_hamiltonian(n_qubits: int, deltas=1.0, eps=None) -> PauliHamilton
     With uniform hopping the result merges to the single-X-per-bit cascade
     (X on the flipping qubit, up/down projectors on the qubits before it).
     """
+    (n_qubits,) = _integers((n_qubits,), "qubit count must be an integer")
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     n_nodes = 2**n_qubits
@@ -165,9 +167,11 @@ def hyperlattice_qubit_hamiltonian(
     Axis 0 owns qubits 1..N (most significant), axis 1 the next N, and so on;
     there are no cross-axis terms.
     """
+    d, n = _integers((d, n_qubits_per_axis), "axis and qubit counts must be integers")
     if d < 1:
         raise ValueError("need at least one axis")
-    n = int(n_qubits_per_axis)
+    if n < 1:
+        raise ValueError("need at least one qubit per axis")
     n_nodes = 2**n
     delta_ax = _per_axis(deltas, d, n_nodes - 1, "deltas")
     eps_ax = _per_axis(eps, d, n_nodes, "eps")

@@ -218,6 +218,7 @@ def expand_multicontrol(g: Gate, n_qubits: int) -> Circuit:
     """
     if g.kind not in ("MCX", "MCRX"):
         raise ValueError("only MCX and MCRX gates can be expanded")
+    (n_qubits,) = _integers((n_qubits,), "qubit count must be an integer")
     if any(q > n_qubits for q in g.qubits):
         raise ValueError("gate wires exceed the data register")
     controls = g.qubits[:-1]

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_matrix_dimension, max_qubits
+from .circuit import _integers, _reals
 from .walkgraph import WalkGraph, walk_matrix
 
 __all__ = [
@@ -48,6 +49,7 @@ class StateVector:
 def basis_state(dim: int, index: int) -> StateVector:
     """The basis state |index> of a dim-dimensional space; dim is at most
     4^max_qubits(), the entry count of the largest dense matrix the cap allows."""
+    dim, index = _integers((dim, index), "dimension and index must be integers")
     cap = 4 ** max_qubits()
     if dim > cap:
         raise ValueError(f"state dimension {dim} above the dense cap {cap}")
@@ -67,6 +69,7 @@ def exact_propagator(h: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("matrix must be square")
     check_matrix_dimension(shape[0])
     h = np.asarray(h, dtype=complex)
+    (t,) = _reals((t,), "evolution time must be a real number")
     if not abs(t) < math.inf:  # NaN fails too
         raise ValueError(f"evolution time {t} is not finite")
     scale = np.max(np.abs(h))

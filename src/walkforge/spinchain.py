@@ -110,6 +110,7 @@ def excitation_graph(c: XYChain, n_exc: int) -> WalkGraph:
     (h/2)(2 n_exc - N).
     """
     n = c.n_sites
+    (n_exc,) = _integers((n_exc,), "excitation count must be an integer")
     if not 0 < n_exc < n:
         raise ValueError("excitation count must be between 1 and n_sites - 1")
     labels, index = _sector_labels(n, n_exc)
@@ -125,6 +126,7 @@ def excitation_graph(c: XYChain, n_exc: int) -> WalkGraph:
 
 def distance_layers(g: WalkGraph, start: int) -> tuple[tuple[int, ...], ...]:
     """Nodes grouped by graph distance from start (breadth-first)."""
+    (start,) = _integers((start,), "start node must be an integer")
     if not 0 <= start < g.n_nodes:
         raise ValueError("start node out of range")
     adj: list[list[int]] = [[] for _ in range(g.n_nodes)]

@@ -265,11 +265,13 @@ def synth_line_walk_step(
     controlled RX rotations. With expand=True each of them is rewritten via
     the Toffoli ladder onto shared ancillas, as _lower expands multi-controls.
     """
+    (n_qubits,) = _integers((n_qubits,), "qubit count must be an integer")
+    eps, delta0 = _reals((eps, delta0), "eps and delta0 must be real numbers")
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     if cycle and n_qubits < 2:
         raise ValueError("cycle needs at least two qubits")
-    angle = -2.0 * float(eps) * float(delta0)
+    angle = -2.0 * eps * delta0
     gates: list[Gate] = []
     for target, ctrls in _line_step_terms(n_qubits, cycle):
         if ctrls:
@@ -403,6 +405,7 @@ class PulseStrengths:
 
 def uniform_strengths(n_wires: int, value: float = 1.0) -> PulseStrengths:
     """The same positive strength for every term on every wire and pair."""
+    (n_wires,) = _integers((n_wires,), "wire count must be an integer")
     if n_wires < 1:
         raise ValueError("need at least one wire")
     (v,) = _reals((value,), "strength must be a real number")
@@ -472,6 +475,7 @@ def replay_pulses(pulses: tuple[FundamentalPulse, ...], n_wires: int) -> np.ndar
     vperp: -strength XX), so its propagator is exactly cos a I - i sin a P
     with a = coefficient * duration; Z = diag(-1, +1) acts on rows as signs,
     X and XX as a gather at the flipped index."""
+    (n_wires,) = _integers((n_wires,), "wire count must be an integer")
     check_qubit_count(n_wires, "pulse replay")
     rows = np.arange(1 << n_wires)
     u = np.eye(1 << n_wires, dtype=complex)
@@ -534,6 +538,7 @@ def build_qft_circuit(n: int, level: str = "named_gates") -> Circuit:
     them through the decomposition library so only {RX, RZ, XX, GPHASE}
     remain.
     """
+    (n,) = _integers((n,), "qubit count must be an integer")
     if n < 1:
         raise ValueError("need at least one qubit")
     if level not in ("named_gates", "fundamental"):
@@ -553,6 +558,7 @@ def build_qft_circuit(n: int, level: str = "named_gates") -> Circuit:
 
 def qft_reference(n: int) -> np.ndarray:
     """The DFT matrix F_jk = exp(i 2 pi j k / 2^n) / 2^{n/2}."""
+    (n,) = _integers((n,), "qubit count must be an integer")
     if not 1 <= n <= 12:
         raise ValueError("reference matrix supported for 1..12 qubits")
     dim = 1 << n

@@ -492,6 +492,37 @@ def test_unitary_and_apply_match_an_index_loop_oracle(c):
     assert np.max(np.abs(apply(c, psi) - u @ psi)) <= 1e-13
 
 
+def _permutation_circuits():
+    gen = np.random.default_rng(161803)
+    for case in range(6):
+        w = 4 + case % 2
+        a, b, c, d = (int(q) + 1 for q in gen.permutation(w)[:4])
+        lo, mid, hi = sorted((a, b, c))
+        gates = [
+            Gate("X", (a,)), Gate("CNOT", (a, b)), Gate("CNOT", (b, a)), Gate("SWAP", (a, c)), Gate("SWAP", (c, a)),
+            Gate("TOFFOLI", (lo, hi, mid)), Gate("TOFFOLI", (hi, lo, mid)), Gate("MCX", (d, a, c, b), (), (1, 0, 1)),
+        ]
+        gates += [_random_gate(str(k), w, gen) for k in gen.choice(["X", "CNOT", "SWAP", "TOFFOLI", "MCX"], 10)]
+        reps = 3 if case % 3 == 2 else 1
+        yield pytest.param(Circuit(w, 0, tuple(gen.permutation(gates)) * reps), id=f"w{w}-x{reps}-{case}")
+
+
+@pytest.mark.parametrize("c", _permutation_circuits())
+def test_permutation_circuits_are_exact(c):
+    """X, CNOT and SWAP on both wire orders, Toffolis with the target between
+    their controls, mixed-polarity MCX: unitary is exactly the product of the
+    index-loop matrices, entries exactly 0 and 1, and apply is exactly unitary
+    times the state."""
+    want = np.eye(1 << c.n_wires, dtype=complex)
+    for g in c.gates:
+        want = _oracle_gate(g, c.n_wires) @ want
+    u = unitary(c)
+    assert np.array_equal(u, want)
+    assert set(np.unique(u)) == {0, 1}
+    psi = rng.normal(size=1 << c.n_wires) + 1j * rng.normal(size=1 << c.n_wires)
+    assert np.array_equal(apply(c, psi), u @ psi)
+
+
 def _fused_runs(c: Circuit) -> int:
     """Fused runs in the plan of the circuit's codes."""
     return sum(isinstance(step, tuple) for step in _plan(c.table, c.codes))

@@ -355,6 +355,25 @@ def test_hyperlattice_hamiltonian_refuses_a_list_with_two_readings(d, n, kwargs)
     np.testing.assert_allclose(to_matrix(along), _kron_sum([along_line] * d), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: hyperlattice_qubit_hamiltonian(1, 1, deltas="0.5"), "deltas must be real numbers"),
+        (lambda: hyperlattice_qubit_hamiltonian(1, 1, eps=[True, False]), "eps must be real numbers"),
+        (lambda: hyperlattice_qubit_hamiltonian(2, 1, eps=[[0.5, "1"], [1.0, 2.0]]), "eps must be real numbers"),
+        (lambda: hyperlattice_qubit_hamiltonian(1, "1"), "axis and qubit counts must be integers"),
+        (lambda: hyperlattice_qubit_hamiltonian(1.5, 1), "axis and qubit counts must be integers"),
+        (lambda: line_qubit_hamiltonian("2"), "qubit count must be an integer"),
+    ],
+    ids=["string-deltas", "boolean-eps", "string-in-an-axis", "string-count", "float-axes", "line-string-count"],
+)
+def test_line_and_hyperlattice_read_numbers_as_the_graph_builders_do(build, match):
+    """Counts are integers and values real numbers, refused with ValueError
+    otherwise, where they were coerced (a string, a boolean) or escaped as TypeError."""
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_hyperlattice_hamiltonian_single_axis_list_has_one_reading():
     """With one axis a list of one bond is the same under both readings."""
     assert hyperlattice_qubit_hamiltonian(1, 1, deltas=[0.7]) == line_qubit_hamiltonian(1, deltas=0.7)

@@ -533,6 +533,13 @@ def test_uniform_strengths_refuse_what_is_not_a_finite_real(value, match):
         uniform_strengths(2, value)
 
 
+@pytest.mark.parametrize("n_wires", ["2", 2.0, True], ids=["string", "float", "boolean"])
+def test_uniform_strengths_refuse_a_wire_count_that_is_not_an_integer(n_wires):
+    """The wire count is read as every other count is: a boolean is not one wire."""
+    with pytest.raises(ValueError, match="wire count must be an integer"):
+        uniform_strengths(n_wires)
+
+
 @pytest.mark.parametrize(
     "kind, angle", [("RX", 7.0), ("RZ", -7.0), ("XX", -7.0), ("RX", 40.0), ("RZ", 1e6)]
 )
