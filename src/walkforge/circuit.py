@@ -9,6 +9,7 @@ Gate kinds: RX, RY, RZ, H, X, APHASE (diag(1, e^{-i eps})), CNOT, SWAP,
 TOFFOLI, CRK (diag(1,1,1,e^{i 2 pi/2^k})), CPHASE, XX (exp(+i chi X@X)),
 CRX, MCX/MCRX with per-control polarities, and GPHASE (scalar e^{i phi} on
 no wire, used to keep decompositions exactly equal to their targets).
+Wires, parameters and amplitudes are read by the one number rule in _read.py.
 
 unitary and apply share one evaluator. Gates whose matrix has one nonzero per
 column (the permutations X, CNOT, SWAP, TOFFOLI, MCX and the phases RZ,
@@ -48,6 +49,7 @@ from math import isfinite, isqrt
 import numpy as np
 
 from ._config import check_qubit_count
+from ._read import complex_array, integers, reals
 
 __all__ = [
     "Gate",
@@ -59,38 +61,6 @@ __all__ = [
     "circuit_to_text",
     "circuit_from_text",
 ]
-
-_INTEGER = (int, np.integer)
-_BITS = (int, np.integer, np.bool_)
-_REAL = (int, float, np.integer, np.floating)
-
-
-def _integers(values, message: str, bits: bool = False) -> tuple[int, ...]:
-    """values as ints. Anything but an int or a numpy integer (a float, a
-    string) is refused with message, and so is a boolean unless bits is set."""
-    values = tuple(values)
-    if {int}.issuperset(map(type, values)):  # the common case, checked at C speed
-        return values
-    allowed = _BITS if bits else _INTEGER
-    if not all(isinstance(v, allowed) and (bits or type(v) is not bool) for v in values):
-        raise ValueError(message)
-    return tuple(map(int, values))
-
-
-def _reals(values, message: str) -> tuple[float, ...]:
-    """values as floats. Anything but an int, a float or a numpy real (a
-    string, a boolean, a complex) is refused with message, and so is an int
-    beyond the float range."""
-    values = tuple(values)
-    if {float}.issuperset(map(type, values)):  # the common case, checked at C speed
-        return values
-    if not all(isinstance(v, _REAL) and type(v) is not bool for v in values):
-        raise ValueError(message)
-    try:
-        return tuple(map(float, values))
-    except OverflowError:
-        raise ValueError(f"{message} within the float range") from None
-
 
 @dataclass(frozen=True, init=False)
 class Gate:
@@ -108,9 +78,9 @@ class Gate:
     def __init__(self, kind: str, qubits=(), params=(), polarities=()) -> None:
         if kind not in _GATES:
             raise ValueError(f"unknown gate kind {kind!r}")
-        qubits = _integers(qubits, "wire indices must be integers")
-        params = _reals(params, "gate parameters must be real numbers")
-        polarities = _integers(polarities, "polarities must be 0 or 1", bits=True)
+        qubits = integers(qubits, "wire indices must be integers")
+        params = reals(params, "gate parameters must be real numbers")
+        polarities = integers(polarities, "polarities must be 0 or 1", bits=True)
         n_wires, n_params, _ = _GATES[kind]
         if n_wires is None:
             if len(qubits) < 2:
@@ -217,7 +187,7 @@ class Circuit:
         return c
 
     def _fill(self, n_qubits: int, n_ancillas: int, table, codes) -> None:
-        n_qubits, n_ancillas = _integers((n_qubits, n_ancillas), "wire counts must be integers")
+        n_qubits, n_ancillas = integers((n_qubits, n_ancillas), "wire counts must be integers")
         w = n_qubits + n_ancillas
         if n_qubits < 0 or n_ancillas < 0:
             raise ValueError("wire counts must be nonnegative")
@@ -579,10 +549,12 @@ def unitary(c: Circuit) -> np.ndarray:
 
 def apply(c: Circuit, state):
     """Apply the circuit to a state vector (ndarray or an object with .amps)."""
-    amps = np.asarray(getattr(state, "amps", state), dtype=complex)
+    amps = complex_array(getattr(state, "amps", state), "amplitudes")
     dim = 1 << c.n_wires
     if amps.shape != (dim,):
         raise ValueError(f"state dimension {amps.shape} does not match {dim} amplitudes")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
     out = _run(c, amps.reshape(dim, 1)).reshape(dim)
     if hasattr(state, "amps"):
         # rounding over a long circuit can move the norm past a state's 1e-12

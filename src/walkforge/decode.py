@@ -5,7 +5,8 @@ Z_iX_j cross terms, X_iX_j and Z_iZ_j pair terms) in closed form; the sign
 conventions are pinned by requiring walk_matrix(result) to equal the dense
 matrix of the input exactly. matrix_to_walk does the same job numerically
 for any Hamiltonian whose dense matrix is real symmetric. pulse_to_walk_edges
-reads one pulse as the template with only its coupling on.
+reads one pulse as the template with only its coupling on. Template arrays
+are read as finite reals by the one number rule in _read.py.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_qubit_count
-from .circuit import _integers
+from ._read import integers, real_array
 from .encode import _index_labels
 from .gatelib import FundamentalPulse
 from .pauli import PauliHamiltonian, PauliString, _from_masks, to_matrix
@@ -29,32 +30,6 @@ __all__ = [
 ]
 
 _EDGE_TOL = 1e-14
-
-
-def _real_array(x, name: str) -> np.ndarray:
-    """x as a float array of finite values; strings, booleans and complex values
-    are refused, not coerced, and Python ints too large for int64 are read as
-    floats.
-
-    numpy reads a list that mixes booleans with numbers as numbers, so a list
-    is searched for booleans entry by entry."""
-    try:
-        a = np.asarray(x)
-    except ValueError:  # numpy refuses a ragged nesting of lists
-        raise ValueError(f"{name} is ragged; nested lists must have equal lengths") from None
-    if a.dtype == object and all(type(e) in (int, float) for e in a.flat):  # ints past int64, as JSON numbers
-        try:
-            a = a.astype(float)
-        except OverflowError:
-            raise ValueError(f"{name} holds a number beyond the float range") from None
-    if a.dtype.kind not in "iuf" or (
-        a is not x and any(isinstance(e, (bool, np.bool_)) for e in np.asarray(x, dtype=object).flat)
-    ):
-        raise ValueError(f"{name} must hold real numbers")
-    a = a.astype(float)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} must be finite")
-    return a
 
 
 @dataclass(frozen=True)
@@ -74,17 +49,17 @@ class StaticQubitHamiltonian:
     vpar: np.ndarray
 
     def __post_init__(self) -> None:
-        (n,) = _integers((self.n_qubits,), "qubit count must be an integer")
+        (n,) = integers((self.n_qubits,), "qubit count must be an integer")
         if n < 1:
             raise ValueError("need at least one qubit")
         object.__setattr__(self, "n_qubits", n)
         for name in ("eps", "delta"):
-            v = _real_array(getattr(self, name), name)
+            v = real_array(getattr(self, name), name)
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
             object.__setattr__(self, name, v)
         for name in ("chi", "vperp", "vpar"):
-            m = _real_array(getattr(self, name), name)
+            m = real_array(getattr(self, name), name)
             if m.shape != (n, n):
                 raise ValueError(f"{name} must have shape ({n}, {n})")
             if np.any(np.diag(m) != 0.0):
@@ -169,7 +144,7 @@ def pulse_to_walk_edges(pulse: FundamentalPulse, n_qubits: int) -> WalkGraph:
     pulse's one coupling on, so a delta or vperp pulse hops with amplitude
     strength. A pulse's eps term is +strength Z and the template's -eps Z, so
     an eps pulse sets eps_k = -strength."""
-    (n_qubits,) = _integers((n_qubits,), "qubit count must be an integer")
+    (n_qubits,) = integers((n_qubits,), "qubit count must be an integer")
     if max(pulse.qubits) > n_qubits:
         raise ValueError("pulse wires exceed the register")
     n, k = n_qubits, tuple(q - 1 for q in pulse.qubits)

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .circuit import _integers
+from ._read import integers
 from .pauli import PauliHamiltonian, PauliString, _check_bits, _from_masks, _symmetric_decomposition
 from .walkgraph import WalkGraph, _per_item, build_line
 
@@ -104,7 +104,7 @@ def encode_binary(g: WalkGraph, labels: Sequence[str] | None = None) -> PauliHam
 
 def gray_labels(n_qubits: int) -> tuple[str, ...]:
     """Bit-string labels for line positions 1..2^N; neighbors differ in one bit."""
-    (n_qubits,) = _integers((n_qubits,), "qubit count must be an integer")
+    (n_qubits,) = integers((n_qubits,), "qubit count must be an integer")
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     p = np.arange(2**n_qubits)
@@ -151,7 +151,7 @@ def line_qubit_hamiltonian(n_qubits: int, deltas=1.0, eps=None) -> PauliHamilton
     With uniform hopping the result merges to the single-X-per-bit cascade
     (X on the flipping qubit, up/down projectors on the qubits before it).
     """
-    (n_qubits,) = _integers((n_qubits,), "qubit count must be an integer")
+    (n_qubits,) = integers((n_qubits,), "qubit count must be an integer")
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     n_nodes = 2**n_qubits
@@ -167,7 +167,7 @@ def hyperlattice_qubit_hamiltonian(
     Axis 0 owns qubits 1..N (most significant), axis 1 the next N, and so on;
     there are no cross-axis terms.
     """
-    d, n = _integers((d, n_qubits_per_axis), "axis and qubit counts must be integers")
+    d, n = integers((d, n_qubits_per_axis), "axis and qubit counts must be integers")
     if d < 1:
         raise ValueError("need at least one axis")
     if n < 1:

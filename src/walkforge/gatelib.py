@@ -13,7 +13,8 @@ from math import isfinite
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _integers, _reals
+from ._read import complex_array, integers, reals
+from .circuit import Circuit, Gate
 
 __all__ = [
     "FundamentalPulse",
@@ -48,14 +49,14 @@ class FundamentalPulse:
         if self.term not in ("eps", "delta", "vperp"):
             raise ValueError(f"unknown pulse term {self.term!r}")
         n_wires = 2 if self.term == "vperp" else 1
-        object.__setattr__(self, "qubits", _integers(self.qubits, "pulse wire indices must be integers"))
+        object.__setattr__(self, "qubits", integers(self.qubits, "pulse wire indices must be integers"))
         if len(self.qubits) != n_wires:
             raise ValueError(f"{self.term} pulse acts on {n_wires} qubit(s)")
         if any(q < 1 for q in self.qubits):
             raise ValueError("pulse wire indices are 1-based")
         if len(set(self.qubits)) != n_wires:
             raise ValueError("pulse wires must be distinct")
-        _reals((self.strength, self.duration), "pulse strength and duration must be real numbers")
+        reals((self.strength, self.duration), "pulse strength and duration must be real numbers")
         if not isfinite(self.strength):
             raise ValueError("pulse strength must be finite")
         if not isfinite(self.duration) or self.duration < 0:
@@ -87,10 +88,10 @@ def euler_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
     Returns (alpha, theta, gamma, xi) with theta, xi in (-pi, pi] and
     gamma in [0, 2 pi).
     """
-    u = np.asarray(u, dtype=complex)
+    u = complex_array(u, "input")
     if u.shape != (2, 2):
         raise ValueError("input must be a 2x2 matrix")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-10:  # NaN fails too
         raise ValueError("input matrix is not unitary")
     alpha = float(np.angle(np.linalg.det(u)) / 2.0)
     su = np.exp(-1j * alpha) * u
@@ -136,7 +137,7 @@ def decompose_cphase(phi: float) -> Circuit:
     Z rotations and the GPHASE this reproduces the controlled phase exactly
     for every angle.
     """
-    phi = float(phi)
+    (phi,) = reals((phi,), "angle must be a real number")
     chi = phi / 4.0
     gates = _both("RZ", _PI / 2) + _both("RX", _PI / 2) + _both("RZ", -_PI / 2)
     gates.append(Gate("XX", (1, 2), (chi,)))
@@ -165,7 +166,7 @@ def decompose_swap() -> Circuit:
 
 def decompose_controlled_rx(eps: float) -> Circuit:
     """Controlled-RX(2 eps) (control q1) from RY/RZ rotations and two CNOTs."""
-    eps = float(eps)
+    (eps,) = reals((eps,), "angle must be a real number")
     gates = (
         Gate("RZ", (2,), (_PI / 2,)),
         Gate("CNOT", (1, 2)),
@@ -218,7 +219,7 @@ def expand_multicontrol(g: Gate, n_qubits: int) -> Circuit:
     """
     if g.kind not in ("MCX", "MCRX"):
         raise ValueError("only MCX and MCRX gates can be expanded")
-    (n_qubits,) = _integers((n_qubits,), "qubit count must be an integer")
+    (n_qubits,) = integers((n_qubits,), "qubit count must be an integer")
     if any(q > n_qubits for q in g.qubits):
         raise ValueError("gate wires exceed the data register")
     controls = g.qubits[:-1]

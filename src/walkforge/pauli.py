@@ -24,6 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from ._config import check_qubit_count, check_width, max_qubits
+from ._read import integers, is_number
 
 __all__ = [
     "PauliString",
@@ -55,13 +56,14 @@ class PauliString(tuple):
     __slots__ = ()
 
     def __new__(cls, m_qubits: int, letters: str, phase: complex = 1 + 0j) -> "PauliString":
+        (m_qubits,) = integers((m_qubits,), "qubit count must be an integer")
         if m_qubits < 1:
             raise ValueError("pauli string needs at least one qubit")
         if len(letters) != m_qubits:
             raise ValueError("letters length must equal m_qubits")
         if set(letters) - _LETTERS:
             raise ValueError("letters must come from I, X, Y, Z")
-        phase = complex(phase)
+        phase = complex(phase) if is_number(phase) else None
         if phase not in _PHASES:
             raise ValueError("phase must be one of 1, -1, i, -i")
         x, z = int(letters.translate(_X_BITS), 2), int(letters.translate(_Z_BITS), 2)
@@ -173,9 +175,13 @@ class PauliHamiltonian:
     terms: tuple[tuple[complex, PauliString], ...]
 
     def __post_init__(self) -> None:
-        m = self.m_qubits
+        (m,) = integers((self.m_qubits,), "qubit count must be an integer")
         if m < 1:
             raise ValueError("hamiltonian needs at least one qubit")
+        object.__setattr__(self, "m_qubits", m)
+        if not {complex, float}.issuperset(map(type, map(itemgetter(0), self.terms))):  # the common case, at C speed
+            if not all(is_number(c) for c, _ in self.terms):
+                raise ValueError("pauli coefficients must be numbers")
         merged: dict[tuple[int, int], complex] = {}
         unphased: dict[tuple[int, int], PauliString] = {}  # caller strings reusable as canonical
         for coeff, string in self.terms:

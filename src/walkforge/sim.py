@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_matrix_dimension, max_qubits
-from .circuit import _integers, _reals
+from ._read import complex_array, integers, reals
 from .walkgraph import WalkGraph, walk_matrix
 
 __all__ = [
@@ -33,7 +33,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = complex_array(self.amps, "amplitudes")
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amplitudes must form a nonempty vector")
         norm = np.linalg.norm(amps)
@@ -49,7 +49,7 @@ class StateVector:
 def basis_state(dim: int, index: int) -> StateVector:
     """The basis state |index> of a dim-dimensional space; dim is at most
     4^max_qubits(), the entry count of the largest dense matrix the cap allows."""
-    dim, index = _integers((dim, index), "dimension and index must be integers")
+    dim, index = integers((dim, index), "dimension and index must be integers")
     cap = 4 ** max_qubits()
     if dim > cap:
         raise ValueError(f"state dimension {dim} above the dense cap {cap}")
@@ -68,8 +68,8 @@ def exact_propagator(h: np.ndarray, t: float) -> np.ndarray:
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("matrix must be square")
     check_matrix_dimension(shape[0])
-    h = np.asarray(h, dtype=complex)
-    (t,) = _reals((t,), "evolution time must be a real number")
+    h = complex_array(h, "matrix")
+    (t,) = reals((t,), "evolution time must be a real number")
     if not abs(t) < math.inf:  # NaN fails too
         raise ValueError(f"evolution time {t} is not finite")
     scale = np.max(np.abs(h))
@@ -148,8 +148,8 @@ def _distance_and_phase(u: np.ndarray, v: np.ndarray) -> tuple[float, float, int
     it and the flat index of the largest entry of |u - e^{i phase} v| there.
 
     Where the minimum is a plateau, the phase is one minimiser of several."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    u = complex_array(u, "first matrix")
+    v = complex_array(v, "second matrix")
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("inputs must be square matrices of equal shape")
     dim = u.shape[0]

@@ -13,8 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .circuit import _integers
-from .decode import _real_array
+from ._read import integers, real_array
 from .pauli import PauliHamiltonian, PauliString, _from_masks
 from .walkgraph import WalkGraph, build_line, walk_matrix
 
@@ -44,15 +43,15 @@ class XYChain:
     h: float = 0.0
 
     def __post_init__(self) -> None:
-        (n,) = _integers((self.n_sites,), "site count must be an integer")
+        (n,) = integers((self.n_sites,), "site count must be an integer")
         if n < 2:
             raise ValueError("chain needs at least two sites")
         object.__setattr__(self, "n_sites", n)
-        j = _real_array(self.j, "couplings")
+        j = real_array(self.j, "couplings")
         if j.shape not in ((), (n - 1,)):
             raise ValueError(f"need {n - 1} bond couplings")
         object.__setattr__(self, "j", tuple(np.broadcast_to(j, (n - 1,)).tolist()))
-        h = _real_array(self.h, "field")
+        h = real_array(self.h, "field")
         if h.shape:
             raise ValueError("field must be one number")
         object.__setattr__(self, "h", float(h))
@@ -110,7 +109,7 @@ def excitation_graph(c: XYChain, n_exc: int) -> WalkGraph:
     (h/2)(2 n_exc - N).
     """
     n = c.n_sites
-    (n_exc,) = _integers((n_exc,), "excitation count must be an integer")
+    (n_exc,) = integers((n_exc,), "excitation count must be an integer")
     if not 0 < n_exc < n:
         raise ValueError("excitation count must be between 1 and n_sites - 1")
     labels, index = _sector_labels(n, n_exc)
@@ -126,7 +125,7 @@ def excitation_graph(c: XYChain, n_exc: int) -> WalkGraph:
 
 def distance_layers(g: WalkGraph, start: int) -> tuple[tuple[int, ...], ...]:
     """Nodes grouped by graph distance from start (breadth-first)."""
-    (start,) = _integers((start,), "start node must be an integer")
+    (start,) = integers((start,), "start node must be an integer")
     if not 0 <= start < g.n_nodes:
         raise ValueError("start node out of range")
     adj: list[list[int]] = [[] for _ in range(g.n_nodes)]

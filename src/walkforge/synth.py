@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._config import check_qubit_count
-from .circuit import _GATES, Circuit, Gate, _format_num, _integers, _reals, _Table, gate_conventions
-from .decode import _real_array
+from ._read import integers, real_array, reals
+from .circuit import _GATES, Circuit, Gate, _format_num, _Table, gate_conventions
 from .encode import encode_binary
 from .gatelib import (
     FundamentalPulse,
@@ -66,7 +66,7 @@ class TrotterPlan:
     ordering: str = "diagonal-first"
 
     def __post_init__(self) -> None:
-        (n_steps,) = _integers((self.n_steps,), "step count must be an integer")
+        (n_steps,) = integers((self.n_steps,), "step count must be an integer")
         if n_steps < 1:
             raise ValueError("step count must be at least 1")
         object.__setattr__(self, "n_steps", n_steps)
@@ -87,7 +87,7 @@ class Schedule:
         if not self.segments:
             raise ValueError("schedule has no segments")
         durations, generators = zip(*self.segments)
-        durations = _reals(durations, "segment durations must be real numbers")
+        durations = reals(durations, "segment durations must be real numbers")
         if not all(0 < d < math.inf for d in durations):
             raise ValueError("segment durations must be positive and finite")
         object.__setattr__(self, "segments", tuple(zip(durations, generators)))
@@ -133,7 +133,8 @@ def _trotter_circuit(m: int, pieces) -> Circuit:
     table = _Table()
     codes: tuple[int, ...] = ()  # a lone piece's codes are its repeated sweep, not a copy
     for h, t, plan in pieces:
-        delta = float(t) / plan.n_steps
+        (t,) = reals((t,), "evolution time must be a real number")
+        delta = t / plan.n_steps
         terms = _ordered_terms(h, plan.ordering)
         step = [k for coeff, s in terms for k in _synth_term(coeff, s, delta, table.make)]
         codes += tuple(step) * plan.n_steps
@@ -185,7 +186,7 @@ def synth_onsite(label: str, eps: float) -> Circuit:
     controls = tuple(range(1, m + 1))
     pols = tuple(int(c) for c in label)
     fold = Gate("MCX", controls + (anc,), (), pols)
-    gates = (fold, Gate("APHASE", (anc,), (float(eps),)), fold)
+    gates = (fold, Gate("APHASE", (anc,), (eps,)), fold)
     return Circuit(m, 1, gates)
 
 
@@ -217,12 +218,13 @@ def _evolution(
     if not support:
         raise ValueError("pauli string has empty support")
     anc = m + 1
-    ctrl_qubits = tuple(q for q, _ in controls)
+    ctrl_qubits = integers([q for q, _ in controls], "projector controls must be integers")
     if set(ctrl_qubits) & set(support):
         raise ValueError("projector controls must be disjoint from the string support")
     if any(not 1 <= q <= m for q in ctrl_qubits):
         raise ValueError("projector controls out of range")
-    tt = float(theta) * (-1.0) ** (z & ~x).bit_count()  # one sign per Z letter
+    (tt,) = reals((theta,), "angle must be a real number")
+    tt *= (-1.0) ** (z & ~x).bit_count()  # one sign per Z letter
     turned = [(q, z >> (m - q) & 1) for q in support if x >> (m - q) & 1]  # (qubit, is Y)
 
     def basis_change(sign: float) -> list[int]:
@@ -232,7 +234,7 @@ def _evolution(
     enter = basis_change(-1.0)
     ladder = [make("CNOT", (q, anc)) for q in support]
     if controls:
-        pols = tuple(int(p) for _, p in controls)
+        pols = integers([p for _, p in controls], "polarities must be 0 or 1", bits=True)
         fold = make("MCX", ctrl_qubits + (anc,), (), pols)
         core = [make("RZ", (anc,), (-tt,)), fold, make("RZ", (anc,), (tt,)), fold]
     else:
@@ -265,8 +267,8 @@ def synth_line_walk_step(
     controlled RX rotations. With expand=True each of them is rewritten via
     the Toffoli ladder onto shared ancillas, as _lower expands multi-controls.
     """
-    (n_qubits,) = _integers((n_qubits,), "qubit count must be an integer")
-    eps, delta0 = _reals((eps, delta0), "eps and delta0 must be real numbers")
+    (n_qubits,) = integers((n_qubits,), "qubit count must be an integer")
+    eps, delta0 = reals((eps, delta0), "eps and delta0 must be real numbers")
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     if cycle and n_qubits < 2:
@@ -392,7 +394,7 @@ class PulseStrengths:
     vperp: np.ndarray
 
     def __post_init__(self) -> None:
-        eps, delta, vperp = (_real_array(getattr(self, f), f) for f in ("eps", "delta", "vperp"))
+        eps, delta, vperp = (real_array(getattr(self, f), f) for f in ("eps", "delta", "vperp"))
         n = eps.size
         if eps.shape != (n,) or delta.shape != (n,) or vperp.shape != (n, n):
             raise ValueError("strength arrays have inconsistent shapes")
@@ -405,10 +407,10 @@ class PulseStrengths:
 
 def uniform_strengths(n_wires: int, value: float = 1.0) -> PulseStrengths:
     """The same positive strength for every term on every wire and pair."""
-    (n_wires,) = _integers((n_wires,), "wire count must be an integer")
+    (n_wires,) = integers((n_wires,), "wire count must be an integer")
     if n_wires < 1:
         raise ValueError("need at least one wire")
-    (v,) = _reals((value,), "strength must be a real number")
+    (v,) = reals((value,), "strength must be a real number")
     vperp = np.full((n_wires, n_wires), v)
     np.fill_diagonal(vperp, 0.0)
     return PulseStrengths(np.full(n_wires, v), np.full(n_wires, v), vperp)
@@ -475,7 +477,7 @@ def replay_pulses(pulses: tuple[FundamentalPulse, ...], n_wires: int) -> np.ndar
     vperp: -strength XX), so its propagator is exactly cos a I - i sin a P
     with a = coefficient * duration; Z = diag(-1, +1) acts on rows as signs,
     X and XX as a gather at the flipped index."""
-    (n_wires,) = _integers((n_wires,), "wire count must be an integer")
+    (n_wires,) = integers((n_wires,), "wire count must be an integer")
     check_qubit_count(n_wires, "pulse replay")
     rows = np.arange(1 << n_wires)
     u = np.eye(1 << n_wires, dtype=complex)
@@ -538,7 +540,7 @@ def build_qft_circuit(n: int, level: str = "named_gates") -> Circuit:
     them through the decomposition library so only {RX, RZ, XX, GPHASE}
     remain.
     """
-    (n,) = _integers((n,), "qubit count must be an integer")
+    (n,) = integers((n,), "qubit count must be an integer")
     if n < 1:
         raise ValueError("need at least one qubit")
     if level not in ("named_gates", "fundamental"):
@@ -558,7 +560,7 @@ def build_qft_circuit(n: int, level: str = "named_gates") -> Circuit:
 
 def qft_reference(n: int) -> np.ndarray:
     """The DFT matrix F_jk = exp(i 2 pi j k / 2^n) / 2^{n/2}."""
-    (n,) = _integers((n,), "qubit count must be an integer")
+    (n,) = integers((n,), "qubit count must be an integer")
     if not 1 <= n <= 12:
         raise ValueError("reference matrix supported for 1..12 qubits")
     dim = 1 << n

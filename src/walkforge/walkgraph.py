@@ -3,19 +3,19 @@
 A walk graph stores a real hopping amplitude delta per edge and a real
 on-site energy per node. Its Hamiltonian matrix carries -delta on the
 off-diagonal and the on-site energies on the diagonal, so all energies are
-dimensionless and evolution is exp(-iHt).
+dimensionless and evolution is exp(-iHt). Numbers from callers and from
+JSON alike are read by the one number rule in _read.py.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._config import check_matrix_dimension
-from .circuit import _integers, _reals
+from ._read import integers, is_integer, is_real, reals
 
 __all__ = [
     "WalkGraph",
@@ -31,9 +31,6 @@ __all__ = [
 ]
 
 
-_INDEX = (int, np.integer)  # types of node indices; booleans are refused separately
-
-
 @dataclass(frozen=True)
 class WalkGraph:
     """Undirected weighted graph: nodes 0..n_nodes-1, edges (i, j, delta)."""
@@ -44,7 +41,7 @@ class WalkGraph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        (n_nodes,) = _integers((self.n_nodes,), "node count must be an integer")
+        (n_nodes,) = integers((self.n_nodes,), "node count must be an integer")
         if n_nodes < 1:
             raise ValueError("graph needs at least one node")
         object.__setattr__(self, "n_nodes", n_nodes)
@@ -54,8 +51,8 @@ class WalkGraph:
         canon = []
         seen = set()
         for i, j, delta in self.edges:
-            if not (isinstance(i, _INDEX) and isinstance(j, _INDEX)) or isinstance(i, bool) or isinstance(j, bool):
-                raise ValueError("edge endpoints must be integers")
+            if type(i) is not int or type(j) is not int:  # numpy ints would wrap in mask arithmetic
+                i, j = integers((i, j), "edge endpoints must be integers")
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError("edge endpoint out of range")
             if i == j:
@@ -65,9 +62,9 @@ class WalkGraph:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add((a, b))
             if type(delta) is not float:
-                (delta,) = _reals((delta,), message)
-            canon.append((int(a), int(b), delta))  # numpy ints would wrap in mask arithmetic
-        onsite = _reals(self.onsite, message)
+                (delta,) = reals((delta,), message)
+            canon.append((a, b, delta))
+        onsite = reals(self.onsite, message)
         if not all(map(math.isfinite, [d for _, _, d in canon] + list(onsite))):
             raise ValueError("hop amplitudes and onsite energies must be finite")
         object.__setattr__(self, "edges", tuple(canon))
@@ -103,12 +100,12 @@ class Hyperlattice:
     boundary: str = "open"
 
     def __post_init__(self) -> None:
-        dimension, side = _integers((self.dimension, self.side), "dimension and side length must be integers")
+        dimension, side = integers((self.dimension, self.side), "dimension and side length must be integers")
         if dimension < 1:
             raise ValueError("dimension must be positive")
         if side < 1:
             raise ValueError("side length must be positive")
-        (delta0,) = _reals((self.delta0,), "delta0 must be a real number")
+        (delta0,) = reals((self.delta0,), "delta0 must be a real number")
         if not math.isfinite(delta0):
             raise ValueError("delta0 must be finite")
         if self.boundary not in ("open", "periodic"):
@@ -130,16 +127,9 @@ def walk_matrix(g: WalkGraph) -> np.ndarray:
     return h
 
 
-def _values(value, what: str, count: int = 1) -> tuple[float, ...]:
-    """The real numbers of a sequence or array, or one real number count times."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()  # Python floats take _reals' fast path
-    return _reals(value if isinstance(value, Iterable) else (value,) * count, f"{what} must be real numbers")
-
-
 def _per_item(value, count: int, what: str) -> tuple[float, ...]:
     """A real number repeated count times, or exactly count of them."""
-    out = _values(value, what, count)
+    out = reals(value, f"{what} must be real numbers", count)
     if len(out) != count:
         raise ValueError(f"expected {count} {what}, got {len(out)}")
     return out
@@ -147,7 +137,7 @@ def _per_item(value, count: int, what: str) -> tuple[float, ...]:
 
 def build_line(n: int, deltas=1.0, eps=None) -> WalkGraph:
     """Path graph on n nodes with per-edge amplitudes and per-node energies."""
-    (n,) = _integers((n,), "node count must be an integer")
+    (n,) = integers((n,), "node count must be an integer")
     if n < 1:
         raise ValueError("line needs at least one node")
     ds = _per_item(deltas, n - 1, "edge amplitudes")
@@ -157,7 +147,7 @@ def build_line(n: int, deltas=1.0, eps=None) -> WalkGraph:
 
 def build_cycle(n: int, deltas=1.0, eps=None) -> WalkGraph:
     """Cycle graph on n >= 3 nodes; edge k joins nodes k and (k+1) mod n."""
-    (n,) = _integers((n,), "node count must be an integer")
+    (n,) = integers((n,), "node count must be an integer")
     if n < 3:
         raise ValueError("cycle needs at least three nodes")
     ds = _per_item(deltas, n, "edge amplitudes")
@@ -170,10 +160,10 @@ def build_hypercube(m: int, delta0: float = 1.0) -> WalkGraph:
 
     Nodes i and j are joined exactly when their labels differ in one bit.
     """
-    (m,) = _integers((m,), "hypercube dimension must be an integer")
+    (m,) = integers((m,), "hypercube dimension must be an integer")
     if m < 1:
         raise ValueError("hypercube dimension must be at least 1")
-    (delta0,) = _reals((delta0,), "delta0 must be a real number")
+    (delta0,) = reals((delta0,), "delta0 must be a real number")
     n = 2**m
     edges = []
     for i in range(n):
@@ -191,10 +181,10 @@ def band_energy(h: Hyperlattice, p) -> float:
     The walk matrix of the periodic lattice has eigenvalues of the opposite
     sign, -band_energy(p), at p_mu = 2*pi*k/L; tests state this explicitly.
     """
-    p = np.array(_values(p, "momentum components"))
+    p = np.array(reals(p, "momentum components must be real numbers", 1))
     if p.shape != (h.dimension,):
         raise ValueError(f"momentum must have {h.dimension} components")
-    if np.any(np.abs(p) > np.pi + 1e-12):
+    if not np.all(np.abs(p) <= np.pi + 1e-12):  # NaN fails too
         raise ValueError("momentum components must lie in [-pi, pi]")
     return float(2.0 * h.delta0 * np.sum(np.cos(p)))
 
@@ -233,19 +223,14 @@ def graph_to_json(g: WalkGraph) -> str:
     return json.dumps(doc)
 
 
-def _is_number(x, kinds: tuple = (int, float)) -> bool:
-    """A JSON number of the given kinds; booleans are not numbers."""
-    return isinstance(x, kinds) and not isinstance(x, bool)
-
-
 def _is_edge(e) -> bool:
     """[i, j, delta] with integer endpoints and a numeric hop."""
     return (
         isinstance(e, list)
         and len(e) == 3
-        and _is_number(e[0], int)
-        and _is_number(e[1], int)
-        and _is_number(e[2])
+        and is_integer(e[0])
+        and is_integer(e[1])
+        and is_real(e[2])
     )
 
 
@@ -273,9 +258,9 @@ def graph_from_json(text: str) -> WalkGraph:
         if key not in doc:
             raise ValueError(f"graph json missing field '{key}'")
     n, onsite, edges = doc["n"], doc["onsite"], doc["edges"]
-    if not _is_number(n, int):
+    if not is_integer(n):
         raise ValueError("graph json 'n' must be an integer")
-    if not (isinstance(onsite, list) and all(map(_is_number, onsite))):
+    if not (isinstance(onsite, list) and all(map(is_real, onsite))):
         raise ValueError("graph json 'onsite' must be a list of numbers")
     if not (isinstance(edges, list) and all(map(_is_edge, edges))):
         raise ValueError("graph json 'edges' must be a list of [i, j, delta] with integer i, j")

@@ -945,3 +945,15 @@ def test_gate_takes_integer_and_numpy_real_parameters():
         g = Gate("RX", (1,), (param,))
         assert g.params == (2.0,) and type(g.params[0]) is float
     assert Gate("CRK", (1, 2), (3,)) == Gate("CRK", (1, 2), (3.0,))
+
+
+@pytest.mark.parametrize("amps", [[True, False], ["1", "0"], [1, np.bool_(False)]])
+def test_apply_refuses_amplitudes_that_are_not_numbers(amps):
+    with pytest.raises(ValueError, match="amplitudes must hold numbers"):
+        apply(Circuit(1, 0, ()), amps)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_apply_refuses_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        apply(Circuit(1, 0, ()), [bad, 0.0])

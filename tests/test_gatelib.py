@@ -360,3 +360,18 @@ def test_pulse_refuses_integer_fields_beyond_the_float_range(strength, duration)
 def test_pulse_takes_integer_and_numpy_real_fields():
     p = FundamentalPulse("eps", (1,), np.float64(0.5), 2)
     assert (p.strength, p.duration) == (0.5, 2)
+
+
+def test_euler_decompose_refuses_strings_and_nan():
+    """A string matrix is refused, not coerced; a NaN entry fails the unitarity check."""
+    with pytest.raises(ValueError, match="input must hold numbers"):
+        euler_decompose([["1", "0"], ["0", "1"]])
+    with pytest.raises(ValueError, match="not unitary"):
+        euler_decompose([[math.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("decompose", [decompose_cphase, decompose_controlled_rx])
+@pytest.mark.parametrize("angle", ["0.5", True, 1j])
+def test_decompositions_refuse_angles_that_are_not_real_numbers(decompose, angle):
+    with pytest.raises(ValueError, match="angle must be a real number"):
+        decompose(angle)

@@ -1,8 +1,12 @@
 """The package namespace: the union of the library modules' public names,
-and the one way its functions read counts and times."""
+and the one way its functions read counts, times and other numbers."""
 from __future__ import annotations
 
+import ast
 import importlib
+import json
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from walkforge import (
     Circuit,
     FundamentalPulse,
     Gate,
+    StaticQubitHamiltonian,
+    WalkGraph,
     XYChain,
     basis_state,
     build_qft_circuit,
@@ -21,6 +27,7 @@ from walkforge import (
     exact_propagator,
     excitation_graph,
     expand_multicontrol,
+    graph_from_json,
     pulse_to_walk_edges,
     qft_reference,
     replay_pulses,
@@ -113,3 +120,103 @@ def test_counts_and_times_of_the_wrong_type_are_refused(call):
     out as TypeError or IndexError."""
     with pytest.raises(ValueError, match="integer|real number"):
         call()
+
+
+_SOURCE = Path(walkforge.__file__).parent
+_TYPE_TESTS = {"bool_", "integer", "floating", "number"}  # numpy attributes that name a number type
+
+
+def _type_tests(tree: ast.AST) -> list[int]:
+    """Lines that test for a boolean, a numpy number type or a dtype kind."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+            node.attr in _TYPE_TESTS or node.attr == "kind" and getattr(node.value, "attr", "") == "dtype"
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Compare) or isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance":
+            if any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_reader_module_holds_the_number_type_rule():
+    """Whether a value is an integer, a real or a number is decided in _read.py
+    alone: no other module tests for booleans, numpy number types or dtype kinds,
+    and the modules that read numbers do not reach into circuit or decode for it."""
+    found = {}
+    for path in sorted(_SOURCE.glob("*.py")):
+        if path.name != "_read.py":
+            lines = _type_tests(ast.parse(path.read_text()))
+            if lines:
+                found[path.name] = lines
+    assert found == {}
+    assert _type_tests(ast.parse((_SOURCE / "_read.py").read_text()))  # the guard sees the rule where it is
+    for name, others in [
+        ("walkgraph", ("circuit",)), ("encode", ("circuit",)), ("decode", ("circuit",)),
+        ("spinchain", ("circuit", "decode")), ("sim", ("circuit",)), ("synth", ("decode",)),
+    ]:
+        tree = ast.parse((_SOURCE / f"{name}.py").read_text())
+        imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert not imported & set(others), name
+
+
+# value, then whether it reads as an integer and as a real number
+_VALUES = [
+    (1, True, True),
+    (np.int64(1), True, True),
+    (np.uint8(1), True, True),
+    (True, False, False),
+    (np.bool_(1), False, False),
+    (1.5, False, True),
+    (np.float32(1.5), False, True),
+    ("1", False, False),
+    (1 + 0j, False, False),
+    (10**400, True, False),  # an integer, but past the float range
+    (Fraction(1, 2), False, False),
+]
+_ZERO = np.zeros((1, 1))
+
+
+def _json_onsite(v):
+    """graph_from_json of one node whose energy is v, written as JSON text."""
+    text = json.dumps(v.item() if isinstance(v, np.generic) else v)
+    return graph_from_json(f'{{"n": 1, "onsite": [{text}], "edges": []}}')
+
+
+_ENTRIES = {  # entry point: (call on the value, whether it reads an integer)
+    "gate-wire": (lambda v: Gate("X", (v,)), True),
+    "gate-parameter": (lambda v: Gate("RX", (1,), (v,)), False),
+    "walkgraph-hop": (lambda v: WalkGraph(2, ((0, 1, v),), (0.0, 0.0)), False),
+    "static-eps": (lambda v: StaticQubitHamiltonian(1, [v], [0.0], _ZERO, _ZERO, _ZERO), False),
+    "json-onsite": (_json_onsite, False),
+}
+
+
+def _has_json_form(v) -> bool:
+    try:
+        json.dumps(v.item() if isinstance(v, np.generic) else v)
+    except TypeError:  # complex and Fraction values have no JSON number
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "entry, value, accepted",
+    [
+        pytest.param(entry, v, integer if reads_integer else real, id=f"{entry}-{type(v).__name__}-{k}")
+        for entry, (_, reads_integer) in _ENTRIES.items()
+        for k, (v, integer, real) in enumerate(_VALUES)
+        if entry != "json-onsite" or _has_json_form(v)
+    ],
+)
+def test_every_entry_point_reads_a_value_by_the_same_rule(entry, value, accepted):
+    """A count and every real-number field, plain, array or JSON, accept and
+    refuse the same values: booleans, strings, complex values and fractions are
+    never numbers, and an integer past the float range is no real number."""
+    call, _ = _ENTRIES[entry]
+    if accepted:
+        call(value)
+    else:
+        with pytest.raises(ValueError):
+            call(value)

@@ -495,3 +495,31 @@ def test_text_rejects_what_the_writer_never_writes(text):
     ASCII digits in range: no sign, underscore or non-ASCII digit."""
     with pytest.raises(ValueError):
         hamiltonian_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: PauliString(1.0, "X"), "qubit count must be an integer", id="string-count-float"),
+        pytest.param(lambda: PauliString(True, "X"), "qubit count must be an integer", id="string-count-boolean"),
+        pytest.param(lambda: PauliString(1, "X", "1"), "phase must be one of", id="string-phase-string"),
+        pytest.param(lambda: PauliString(1, "X", True), "phase must be one of", id="string-phase-boolean"),
+        pytest.param(lambda: PauliHamiltonian(1.0, ()), "qubit count must be an integer", id="hamiltonian-count-float"),
+        pytest.param(
+            lambda: PauliHamiltonian(1, (("0.5", PauliString(1, "X")),)), "coefficients must be numbers", id="coefficient-string"
+        ),
+        pytest.param(
+            lambda: PauliHamiltonian(1, ((True, PauliString(1, "X")),)), "coefficients must be numbers", id="coefficient-boolean"
+        ),
+    ],
+)
+def test_pauli_records_refuse_counts_phases_and_coefficients_of_the_wrong_type(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_pauli_records_take_numpy_numbers():
+    s = PauliString(np.int64(1), "X", np.complex128(-1))
+    assert s == PauliString(1, "X", -1) and type(s.m_qubits) is int
+    h = PauliHamiltonian(np.int64(1), ((np.float32(0.5), s), (2, PauliString(1, "Z"))))
+    assert h.m_qubits == 1 and [c for c, _ in h.terms] == [-0.5, 2]

@@ -342,3 +342,20 @@ def test_basis_state_refuses_above_the_largest_dense_matrix(monkeypatch):
     assert basis_state(16, 15).dim == 16
     with pytest.raises(ValueError, match="state dimension 17 above the dense cap 16"):
         basis_state(17, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: StateVector(["1", "0"]), id="state-strings"),
+        pytest.param(lambda: StateVector([True, False]), id="state-booleans"),
+        pytest.param(lambda: StateVector([1, np.bool_(False)]), id="state-mixed-boolean"),
+        pytest.param(lambda: exact_propagator([["1", "0"], ["0", "1"]], 1.0), id="propagator-strings"),
+        pytest.param(lambda: unitary_distance([["1", "0"], ["0", "1"]], np.eye(2)), id="distance-strings"),
+        pytest.param(lambda: unitary_distance(np.eye(2), [[True, False], [False, True]]), id="distance-booleans"),
+    ],
+)
+def test_complex_inputs_refuse_strings_and_booleans(call):
+    """Amplitudes and matrices hold numbers; strings and booleans are refused, not coerced."""
+    with pytest.raises(ValueError, match="must hold numbers"):
+        call()

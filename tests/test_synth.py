@@ -944,3 +944,30 @@ def test_schedule_takes_integer_and_numpy_real_durations():
     sched = Schedule(((1, h), (np.float64(0.5), h)))
     assert [d for d, _ in sched.segments] == [1.0, 0.5]
     assert all(type(d) is float for d, _ in sched.segments)
+
+
+@pytest.mark.parametrize(
+    "theta, controls, message",
+    [
+        pytest.param("0.5", (), "angle must be a real number", id="angle-string"),
+        pytest.param(0.5, ((2, 1.7),), "polarities must be 0 or 1", id="polarity-float"),
+        pytest.param(0.5, ((2, "0"),), "polarities must be 0 or 1", id="polarity-string"),
+        pytest.param(0.5, (("2", 1),), "projector controls must be integers", id="control-string"),
+    ],
+)
+def test_pauli_evolution_refuses_angles_and_controls_of_the_wrong_type(theta, controls, message):
+    with pytest.raises(ValueError, match=message):
+        synth_pauli_evolution(PauliString(2, "XI"), theta, controls)
+
+
+@pytest.mark.parametrize("t", ["1", True])
+def test_trotterize_refuses_times_that_are_not_real_numbers(t):
+    h = PauliHamiltonian(1, ((0.5, PauliString(1, "X")),))
+    with pytest.raises(ValueError, match="evolution time must be a real number"):
+        trotterize(h, t, TrotterPlan(1))
+
+
+@pytest.mark.parametrize("eps", ["0.5", True])
+def test_synth_onsite_refuses_energies_that_are_not_real_numbers(eps):
+    with pytest.raises(ValueError, match="real numbers"):
+        synth_onsite("01", eps)

@@ -411,3 +411,8 @@ def test_builders_take_numpy_numbers_and_arrays():
     assert band_energy(lat, np.array([0.5, 1.0])) == band_energy(lat, [0.5, 1.0])
     assert band_energy(Hyperlattice(1, 3), np.float64(0.5)) == band_energy(Hyperlattice(1, 3), [0.5])
     assert build_hypercube(np.int64(2), np.int64(1)) == build_hypercube(2, 1.0)
+
+
+def test_band_energy_refuses_nan_momentum():
+    with pytest.raises(ValueError, match="momentum components must lie in"):
+        band_energy(Hyperlattice(1, 4), [math.nan])
